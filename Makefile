@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race fuzz chaos bench bench-smoke bencheval bench-diff servebench ensemblebench serve-smoke cover-obs check clean
+.PHONY: all build vet test perfbench-test race fuzz chaos bench bench-smoke bencheval bench-diff servebench ensemblebench serve-smoke cover-obs check clean
 
 all: check
 
@@ -17,6 +17,11 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# perfbench-test vets and unit-tests the end-to-end benchmark (perfbench/),
+# a nested module the root `go test ./...` does not see.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # race runs the full suite under the race detector; this covers the
 # sharded evaluation cache, the shared compiled programs, and the
@@ -111,7 +116,7 @@ cover-obs:
 	awk -v t="$$total" 'BEGIN { if (t+0 < 85) { printf "internal/obs coverage %.1f%% is below the 85%% floor\n", t; exit 1 } \
 		printf "internal/obs coverage %.1f%% (floor 85%%)\n", t }'
 
-check: build vet test race chaos fuzz serve-smoke cover-obs
+check: build vet test perfbench-test race chaos fuzz serve-smoke cover-obs
 
 clean:
 	$(GO) clean ./...

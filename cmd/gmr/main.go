@@ -291,7 +291,7 @@ func main() {
 			lo, hi := calib.Box(consts)
 			dr := calib.NewDREAM()
 			dr.Record = calib.NewPosteriorRecorder(*posterior, budget/2)
-			obj := calib.StructureBatchObjective(seg, ds.TrainForcing(), ds.TrainObsPhy(), sim)
+			obj := calib.StructureObjectives(seg, ds.TrainForcing(), ds.TrainObsPhy(), sim).Batch
 			dr.CalibrateBatch(obj, lo, hi, budget, rand.New(rand.NewSource(*seed)))
 			post := dr.Record.Posterior()
 			if post == nil || len(post.Samples) == 0 {

@@ -259,14 +259,16 @@ func benchEvalPass(ds *dataset.Dataset) []benchEvalResult {
 		}
 	}))
 
-	// Calibration population: RiverBatchObjective scoring a GA-sized cohort
-	// (24 vectors) through the lane kernel, amortized per vector — what one
-	// candidate costs the batched Table V calibration layer.
+	// Calibration population: the river objective's batch form scoring a
+	// GA-sized cohort (24 vectors) through the lane kernel, amortized per
+	// vector — what one candidate costs the batched Table V calibration
+	// layer.
 	record("calib_batch_population", testing.Benchmark(func(b *testing.B) {
-		batchObj, err := calib.RiverBatchObjective(forcing, obs, simCfg)
+		objs, err := calib.RiverObjectives(forcing, obs, simCfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		batchObj := objs.Batch
 		lo, hi := calib.Box(consts)
 		rng := rand.New(rand.NewSource(17))
 		const pop = 24
@@ -341,29 +343,9 @@ func benchEvalPass(ds *dataset.Dataset) []benchEvalResult {
 		}
 	}))
 
-	// Simulation inner loop with reused scratch: the monolithic stack VM
-	// (what NoHoist pays per evaluation)...
-	record("bio_run_buf", testing.Benchmark(func(b *testing.B) {
-		phy, zoo, bconsts, err := bio.ManualSystem()
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys, err := bio.NewCompiledSystem(phy, zoo)
-		if err != nil {
-			b.Fatal(err)
-		}
-		params := bio.Means(bconsts)
-		var sc bio.SimScratch
-		sys.RunBuf(forcing, params, simCfg, &sc, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sys.RunBuf(forcing, params, simCfg, &sc, nil)
-		}
-	}))
-
-	// ...versus the segmented register VM consuming a prebuilt exogenous
-	// plan (what a tier-1 hit pays after hoisting).
+	// Simulation inner loop: the segmented register VM consuming a
+	// prebuilt exogenous plan with reused scratch (what a tier-1 hit pays
+	// after hoisting; every simulation path runs this kernel).
 	record("bio_seg_kernel", testing.Benchmark(func(b *testing.B) {
 		phy, zoo, bconsts, err := bio.ManualSystem()
 		if err != nil {

@@ -26,7 +26,7 @@ func main() {
 	consts := bio.DefaultConstants()
 	simTr := dataset.ModelSimConfig(2, ds.ObsPhy[0], ds.ObsZoo[0])
 	simTe := dataset.ModelSimConfig(2, ds.ObsPhy[ds.TrainEnd], ds.ObsZoo[ds.TrainEnd])
-	obj, err := calib.RiverObjective(ds.TrainForcing(), ds.TrainObsPhy(), simTr)
+	objs, err := calib.RiverObjectives(ds.TrainForcing(), ds.TrainObsPhy(), simTr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := bio.NewCompiledSystem(phy, zoo)
+	sys, err := bio.NewSegSystem(phy, zoo)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func main() {
 	fmt.Printf("%-8s %-12s %-12s %-s\n", "method", "train RMSE", "test RMSE", "largest drift from expert mean")
 	for i, c := range calib.All() {
 		rng := stats.NewRand(int64(100 + i))
-		params, trainF := c.Calibrate(obj, lo, hi, budget, rng)
+		params, trainF := objs.Calibrate(c, lo, hi, budget, rng)
 		te := sys.Predict(ds.TestForcing(), params, simTe)
 		testF := metrics.RMSE(te, ds.TestObsPhy())
 

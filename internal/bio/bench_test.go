@@ -2,35 +2,20 @@ package bio
 
 import "testing"
 
-// Benchmarks for the simulation inner loop (ISSUE 1: bio.System.Run with
-// b.ReportAllocs). Three variants:
+// Benchmarks for the simulation inner loop, with b.ReportAllocs. Three
+// variants:
 //
-//   - Run: the allocating entry point (fresh scratch per call) — what the
-//     seed evaluator paid on every evaluation.
-//   - RunBuf: caller-supplied scratch, allocation-free once warm.
-//   - SharedRun: the lock-free shared-program path used by the evaluator's
-//     structure cache, also allocation-free with warm scratch.
+//   - TreeRun: tree interpretation with warm scratch — the uncompiled Fig 10
+//     baseline that runtime compilation replaces.
+//   - SegRun: the segmented register VM through its convenience entry
+//     point, which builds the exogenous plan per call — what an evaluation
+//     pays without the structure cache.
+//   - SegKernel: Prologue+Kernel over a prebuilt plan with warm scratch,
+//     allocation-free — what a cached structure pays per candidate.
 
-func BenchmarkRun(b *testing.B) {
+func BenchmarkTreeRun(b *testing.B) {
 	phy, zoo, params, forcing := manualWorkload(b)
-	sys, err := NewCompiledSystem(phy, zoo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := SimConfig{Phy0: 10, Zoo0: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Run(forcing, params, cfg, nil)
-	}
-}
-
-func BenchmarkRunBuf(b *testing.B) {
-	phy, zoo, params, forcing := manualWorkload(b)
-	sys, err := NewCompiledSystem(phy, zoo)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sys := NewTreeSystem(phy, zoo)
 	cfg := SimConfig{Phy0: 10, Zoo0: 1}
 	var sc SimScratch
 	sys.RunBuf(forcing, params, cfg, &sc, nil)
@@ -41,18 +26,37 @@ func BenchmarkRunBuf(b *testing.B) {
 	}
 }
 
-func BenchmarkSharedRun(b *testing.B) {
+func BenchmarkSegRun(b *testing.B) {
 	phy, zoo, params, forcing := manualWorkload(b)
-	shared, err := NewSharedSystem(phy, zoo)
+	seg, err := NewSegSystem(phy, zoo)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := SimConfig{Phy0: 10, Zoo0: 1}
 	var sc SimScratch
-	shared.Run(forcing, params, cfg, &sc, nil)
+	seg.Run(forcing, params, cfg, &sc, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shared.Run(forcing, params, cfg, &sc, nil)
+		seg.Run(forcing, params, cfg, &sc, nil)
+	}
+}
+
+func BenchmarkSegKernel(b *testing.B) {
+	phy, zoo, params, forcing := manualWorkload(b)
+	seg, err := NewSegSystem(phy, zoo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := SimConfig{Phy0: 10, Zoo0: 1}
+	plan := seg.BuildExogPlan(forcing)
+	var sc SimScratch
+	seg.Prologue(params, &sc)
+	seg.Kernel(plan, cfg, &sc, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seg.Prologue(params, &sc)
+		seg.Kernel(plan, cfg, &sc, nil)
 	}
 }

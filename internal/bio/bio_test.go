@@ -181,7 +181,7 @@ func TestSimulatorStabilityUnderManualProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewCompiledSystem(phy, zoo)
+	sys, err := NewSegSystem(phy, zoo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestSimulatorBoundedUnderTamedParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewCompiledSystem(phy, zoo)
+	sys, err := NewSegSystem(phy, zoo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +252,15 @@ func TestSimulatorBoundedUnderTamedParams(t *testing.T) {
 	}
 }
 
-// TestCompiledAndTreeSystemsAgree verifies RC (runtime compilation)
-// produces bit-identical trajectories to tree interpretation.
+// TestCompiledAndTreeSystemsAgree verifies RC (runtime compilation to the
+// segmented register VM) produces bit-identical trajectories to tree
+// interpretation.
 func TestCompiledAndTreeSystemsAgree(t *testing.T) {
 	phy, zoo, consts, err := ManualSystem()
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := NewCompiledSystem(phy, zoo)
+	compiled, err := NewSegSystem(phy, zoo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestSubstepConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewCompiledSystem(phy, zoo)
+	sys, err := NewSegSystem(phy, zoo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,13 +18,15 @@ import (
 //   - PARAM instructions run once per parameter vector (Prologue);
 //   - DAY instructions run once per day (forcing is constant within a day).
 //
-// Semantics match System.RunBuf / SharedSystem.Run bit for bit — the
-// differential tests in seg_test.go and evalx enforce this.
+// SegSystem is the single compiled simulation engine: the scalar Kernel
+// here and the lane kernel in lanes.go. Its semantics match the
+// tree-interpreting System.RunBuf (the reference oracle) — the differential
+// tests in seg_test.go and evalx enforce this.
 
 // SegSystem is the segmented compiled form of a System: one immutable
 // register program with two roots (dBPhy/dt, dBZoo/dt) sharing common
-// subexpressions. Like SharedSystem it carries no mutable state and is safe
-// for concurrent use with per-goroutine SimScratch register files.
+// subexpressions. It carries no mutable state and is safe for concurrent
+// use with per-goroutine SimScratch register files.
 type SegSystem struct {
 	Prog *expr.RegProgram
 }
@@ -84,7 +86,7 @@ func (s *SegSystem) Prologue(params []float64, sc *SimScratch) {
 // Kernel integrates the system over the plan's days using the precomputed
 // exogenous matrix. Prologue must have run first with the same scratch.
 // Semantics (Euler stepping, clamping, non-finite abort, perStep hook and
-// early stop) match SharedSystem.Run exactly; the returned slice aliases sc.
+// early stop) match System.RunBuf exactly; the returned slice aliases sc.
 // Steady-state calls with a reused SimScratch are allocation-free.
 func (s *SegSystem) Kernel(plan *ExogPlan, cfg SimConfig, sc *SimScratch, perStep func(t int, bphy float64) bool) []float64 {
 	cfg = cfg.withDefaults()
@@ -126,6 +128,29 @@ func (s *SegSystem) Kernel(plan *ExogPlan, cfg SimConfig, sc *SimScratch, perSte
 	}
 	sc.preds = preds
 	return preds
+}
+
+// Day loads plan day t into the scratch register file and runs the DAY
+// segment; Derivs then evaluates both derivatives at a state within that
+// day. Prologue must have run first with the same scratch. The pair exposes
+// one Euler substep of Kernel to callers that integrate with their own
+// update rule (the dataset generator tracks both state variables and never
+// aborts).
+func (s *SegSystem) Day(plan *ExogPlan, t int, sc *SimScratch) {
+	if k := plan.k; k > 0 {
+		s.Prog.LoadExogRow(plan.mat[t*k:t*k+k], sc.regs)
+	}
+	s.Prog.EvalDay(sc.regs)
+}
+
+// Derivs returns (dBPhy/dt, dBZoo/dt) at state (bphy, bzoo) for the day
+// loaded by Day, exactly as Kernel computes them.
+func (s *SegSystem) Derivs(bphy, bzoo float64, sc *SimScratch) (dPhy, dZoo float64) {
+	sc.vars = growBuf(sc.vars, NumVars)
+	sc.vars[IdxBPhy] = bphy
+	sc.vars[IdxBZoo] = bzoo
+	s.Prog.EvalStep(sc.vars, sc.regs)
+	return s.Prog.Root(0, sc.regs), s.Prog.Root(1, sc.regs)
 }
 
 // Run is the convenience entry point: it builds a throwaway exogenous plan,

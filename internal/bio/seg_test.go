@@ -9,9 +9,10 @@ import (
 )
 
 // Differential tests for the segmented simulation path: SegSystem (register
-// VM, exogenous hoisting, per-day invariant evaluation) must reproduce
-// SharedSystem.Run (monolithic stack VM) bit for bit — every prediction,
-// every perStep call, early stops, and non-finite aborts included.
+// VM, exogenous hoisting, per-day invariant evaluation) must reproduce the
+// tree-interpreting System.RunBuf — the reference oracle — bit for bit:
+// every prediction, every perStep call, early stops, and non-finite aborts
+// included.
 
 // bindBio parses src and binds it against the bio variable/parameter
 // layout.
@@ -115,11 +116,11 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestSegSystemMatchesSharedSystem: over fixed system shapes × random
+// TestSegSystemMatchesTreeSystem: over fixed system shapes × random
 // forcing × random parameters × several SimConfigs (including disabled
-// clamps and early stops), the segmented path reproduces the monolithic
-// path bitwise, predictions and perStep traces alike.
-func TestSegSystemMatchesSharedSystem(t *testing.T) {
+// clamps and early stops), the segmented path reproduces tree
+// interpretation bitwise, predictions and perStep traces alike.
+func TestSegSystemMatchesTreeSystem(t *testing.T) {
 	consts := DefaultConstants()
 	paramIdx := ParamIndex(consts)
 	rng := rand.New(rand.NewSource(42))
@@ -130,10 +131,7 @@ func TestSegSystemMatchesSharedSystem(t *testing.T) {
 		{SubSteps: 3, Phy0: 1, Zoo0: 1, ClampMin: -1, ClampMax: 50},
 	}
 	for si, pair := range segTestSystems(t, paramIdx) {
-		shared, err := NewSharedSystem(pair[0], pair[1])
-		if err != nil {
-			t.Fatalf("system %d: NewSharedSystem: %v", si, err)
-		}
+		tree := NewTreeSystem(pair[0], pair[1])
 		seg, err := NewSegSystem(pair[0], pair[1])
 		if err != nil {
 			t.Fatalf("system %d: NewSegSystem: %v", si, err)
@@ -150,34 +148,34 @@ func TestSegSystemMatchesSharedSystem(t *testing.T) {
 				stopAt = rng.Intn(len(forcing)) // early stop via perStep
 			}
 
-			var trShared, trSeg stepTrace
-			var scShared, scSeg SimScratch
-			predShared := shared.Run(forcing, params, cfg, &scShared, trShared.hook(stopAt))
+			var trTree, trSeg stepTrace
+			var scTree, scSeg SimScratch
+			predTree := tree.RunBuf(forcing, params, cfg, &scTree, trTree.hook(stopAt))
 			plan := seg.BuildExogPlan(forcing)
 			seg.Prologue(params, &scSeg)
 			predSeg := seg.Kernel(plan, cfg, &scSeg, trSeg.hook(stopAt))
 
-			if !bitsEqual(predShared, predSeg) {
-				t.Fatalf("system %d trial %d: predictions diverge\nshared %v\nseg    %v", si, trial, predShared, predSeg)
+			if !bitsEqual(predTree, predSeg) {
+				t.Fatalf("system %d trial %d: predictions diverge\ntree %v\nseg  %v", si, trial, predTree, predSeg)
 			}
-			if !sameTrace(&trShared, &trSeg) {
-				t.Fatalf("system %d trial %d: perStep traces diverge\nshared %v\nseg    %v", si, trial, trShared.ts, trSeg.ts)
+			if !sameTrace(&trTree, &trSeg) {
+				t.Fatalf("system %d trial %d: perStep traces diverge\ntree %v\nseg  %v", si, trial, trTree.ts, trSeg.ts)
 			}
 
 			// The convenience Run entry point must agree as well.
 			predRun := seg.Run(forcing, params, cfg, &SimScratch{}, nil)
-			full := shared.Run(forcing, params, cfg, &SimScratch{}, nil)
+			full := tree.Predict(forcing, params, cfg)
 			if !bitsEqual(full, predRun) {
-				t.Fatalf("system %d trial %d: SegSystem.Run diverges from SharedSystem.Run", si, trial)
+				t.Fatalf("system %d trial %d: SegSystem.Run diverges from the tree oracle", si, trial)
 			}
 		}
 	}
 }
 
 // TestSegSystemRandomTreesProperty builds random derivative trees over the
-// bio variable universe and checks segmented-vs-monolithic parity across
+// bio variable universe and checks segmented-vs-tree parity across
 // random forcing and parameters. Trees are grown from the same operator
-// set the grammar uses.
+// set the grammar uses; the reference is the tree-interpreting System.
 func TestSegSystemRandomTreesProperty(t *testing.T) {
 	consts := DefaultConstants()
 	paramIdx := ParamIndex(consts)
@@ -239,10 +237,7 @@ func TestSegSystemRandomTreesProperty(t *testing.T) {
 		if err := expr.Bind(zoo, varIdx, paramIdx); err != nil {
 			t.Fatal(err)
 		}
-		shared, err := NewSharedSystem(phy, zoo)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tree := NewTreeSystem(phy, zoo)
 		seg, err := NewSegSystem(phy, zoo)
 		if err != nil {
 			t.Fatal(err)
@@ -258,10 +253,10 @@ func TestSegSystemRandomTreesProperty(t *testing.T) {
 		}
 		var trA, trB stepTrace
 		var scA, scB SimScratch
-		a := shared.Run(forcing, params, cfg, &scA, trA.hook(-1))
+		a := tree.RunBuf(forcing, params, cfg, &scA, trA.hook(-1))
 		b := seg.Run(forcing, params, cfg, &scB, trB.hook(-1))
 		if !bitsEqual(a, b) {
-			t.Fatalf("trial %d: predictions diverge\nphy %s\nzoo %s\nshared %v\nseg    %v", trial, phy, zoo, a, b)
+			t.Fatalf("trial %d: predictions diverge\nphy %s\nzoo %s\ntree %v\nseg  %v", trial, phy, zoo, a, b)
 		}
 		if !sameTrace(&trA, &trB) {
 			t.Fatalf("trial %d: traces diverge (phy %s, zoo %s)", trial, phy, zoo)
@@ -294,5 +289,36 @@ func TestSegKernelSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Prologue+Kernel allocates %.1f objects/run; want 0", allocs)
+	}
+}
+
+// TestDayDerivsReproduceKernel: integrating with Day+Derivs and the
+// kernel's own Euler update and clamps reproduces Kernel bit for bit.
+func TestDayDerivsReproduceKernel(t *testing.T) {
+	phy, zoo, params, forcing := manualWorkload(t)
+	seg, err := NewSegSystem(phy, zoo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SimConfig{SubSteps: 4, Phy0: 10, Zoo0: 1}
+	want := seg.Predict(forcing, params, cfg)
+	def := cfg.withDefaults()
+	plan := seg.BuildExogPlan(forcing)
+	var sc SimScratch
+	seg.Prologue(params, &sc)
+	bphy, bzoo := cfg.Phy0, cfg.Zoo0
+	h := 1.0 / float64(cfg.SubSteps)
+	got := make([]float64, 0, len(forcing))
+	for d := range forcing {
+		seg.Day(plan, d, &sc)
+		for s := 0; s < cfg.SubSteps; s++ {
+			dp, dz := seg.Derivs(bphy, bzoo, &sc)
+			bphy = clamp(bphy+h*dp, def.ClampMin, def.ClampMax)
+			bzoo = clamp(bzoo+h*dz, def.ClampMin, def.ClampMax)
+		}
+		got = append(got, bphy)
+	}
+	if !bitsEqual(got, want) {
+		t.Fatalf("Day+Derivs trajectory diverges from Kernel\ngot  %v\nwant %v", got, want)
 	}
 }

@@ -6,17 +6,14 @@ import (
 	"gmr/internal/expr"
 )
 
-// RHS evaluates one derivative (the right-hand side of dB/dt) given the
+// TreeRHS evaluates one derivative (the right-hand side of dB/dt) from the
 // current variable vector (layout per VarIndex) and the constant-parameter
-// vector.
-type RHS interface {
-	Eval(vars, params []float64) float64
-}
-
-// TreeRHS interprets a bound expression tree directly. It is the slow path
-// that "runtime compilation" replaces; kept as the Fig 10 baseline and as a
-// reference implementation. Evaluation never mutates the tree, so a TreeRHS
-// is safe for concurrent use.
+// vector by interpreting a bound expression tree directly. It is the slow
+// path that "runtime compilation" (the register VM behind SegSystem)
+// replaces; kept as the Fig 10 uncompiled baseline and as the single
+// reference implementation every compiled path is tested against.
+// Evaluation never mutates the tree, so a TreeRHS is safe for concurrent
+// use.
 type TreeRHS struct {
 	Node *expr.Node
 }
@@ -31,33 +28,11 @@ func (t TreeRHS) Eval(vars, params []float64) float64 {
 	return v
 }
 
-// CompiledRHS runs a compiled bytecode program with a reusable stack. A
-// CompiledRHS is NOT safe for concurrent use; create one per goroutine (or
-// share the underlying immutable Program via SharedSystem and per-goroutine
-// SimScratch stacks).
-type CompiledRHS struct {
-	Prog  *expr.Program
-	stack []float64
-}
-
-// NewCompiledRHS compiles the bound tree n.
-func NewCompiledRHS(n *expr.Node) (*CompiledRHS, error) {
-	p, err := expr.Compile(n)
-	if err != nil {
-		return nil, err
-	}
-	return &CompiledRHS{Prog: p, stack: make([]float64, 0, p.StackSize())}, nil
-}
-
-// Eval executes the compiled program.
-func (c *CompiledRHS) Eval(vars, params []float64) float64 {
-	return c.Prog.EvalStack(vars, params, c.stack)
-}
-
-// System couples the two derivative expressions of the biological process.
+// System couples the two interpreted derivative expressions of the
+// biological process.
 type System struct {
-	Phy RHS // dBPhy/dt
-	Zoo RHS // dBZoo/dt
+	Phy TreeRHS // dBPhy/dt
+	Zoo TreeRHS // dBZoo/dt
 }
 
 // SimConfig controls forward integration of a System.
@@ -110,17 +85,15 @@ func (c SimConfig) withDefaults() SimConfig {
 }
 
 // SimScratch holds the per-goroutine buffers reused across integration
-// runs: the forcing scratch row, the two bytecode evaluation stacks, and
-// the prediction buffer. The zero value is ready to use; buffers grow on
+// runs: the forcing scratch row, the register files, and the prediction
+// buffer. The zero value is ready to use; buffers grow on
 // first use and are reused afterwards, making repeated Run calls
 // allocation-free. A SimScratch must not be shared between concurrent
 // runs.
 type SimScratch struct {
-	vars     []float64
-	phyStack []float64
-	zooStack []float64
-	preds    []float64
-	regs     []float64 // register file for the segmented VM (see seg.go)
+	vars  []float64
+	preds []float64
+	regs  []float64 // register file for the segmented VM (see seg.go)
 
 	// Lane-batched path (see lanes.go): the lane-major register file and
 	// state vector, plus the per-lane parameter-vector table reused by
@@ -236,92 +209,6 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// SharedSystem is the concurrency-friendly compiled form of a System: it
-// holds only the two immutable bytecode programs, so one SharedSystem can
-// be cached once per model structure and evaluated by many goroutines at
-// once, each bringing its own SimScratch (this is what makes the
-// evaluator's tier-1 structure cache safe — see internal/evalx). The
-// paper's runtime-compilation trick only pays off when the compiled
-// artifact is reused; SharedSystem is the reusable artifact.
-type SharedSystem struct {
-	Phy, Zoo *expr.Program
-}
-
-// NewSharedSystem compiles both derivative trees into a shareable system.
-func NewSharedSystem(phy, zoo *expr.Node) (*SharedSystem, error) {
-	p, err := expr.Compile(phy)
-	if err != nil {
-		return nil, err
-	}
-	z, err := expr.Compile(zoo)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedSystem{Phy: p, Zoo: z}, nil
-}
-
-// Run integrates the shared system with caller-supplied scratch. Semantics
-// match System.RunBuf exactly (the Fig 10 equivalence tests rely on the
-// two paths agreeing bit for bit); the returned slice aliases sc.
-func (s *SharedSystem) Run(forcing [][]float64, params []float64, cfg SimConfig, sc *SimScratch, perStep func(t int, bphy float64) bool) []float64 {
-	cfg = cfg.withDefaults()
-	preds := sc.preds[:0]
-	bphy, bzoo := cfg.Phy0, cfg.Zoo0
-	sc.vars = growBuf(sc.vars, NumVars)
-	sc.phyStack = growBuf(sc.phyStack, s.Phy.StackSize())
-	sc.zooStack = growBuf(sc.zooStack, s.Zoo.StackSize())
-	scratch, phyStack, zooStack := sc.vars, sc.phyStack, sc.zooStack
-	h := 1.0 / float64(cfg.SubSteps)
-	for t, row := range forcing {
-		copy(scratch, row)
-		for step := 0; step < cfg.SubSteps; step++ {
-			scratch[IdxBPhy] = bphy
-			scratch[IdxBZoo] = bzoo
-			dPhy := s.Phy.EvalStack(scratch, params, phyStack)
-			dZoo := s.Zoo.EvalStack(scratch, params, zooStack)
-			bphy += h * dPhy
-			bzoo += h * dZoo
-			if bad, abort := nonFinite(bphy, bzoo); abort {
-				preds = append(preds, math.NaN())
-				sc.preds = preds
-				if perStep != nil {
-					perStep(t, bad)
-				}
-				return preds
-			}
-			bphy = clamp(bphy, cfg.ClampMin, cfg.ClampMax)
-			bzoo = clamp(bzoo, cfg.ClampMin, cfg.ClampMax)
-		}
-		preds = append(preds, bphy)
-		if perStep != nil && !perStep(t, bphy) {
-			sc.preds = preds
-			return preds
-		}
-	}
-	sc.preds = preds
-	return preds
-}
-
-// Predict is Run with fresh scratch and no per-step hook; the returned
-// slice is caller-owned.
-func (s *SharedSystem) Predict(forcing [][]float64, params []float64, cfg SimConfig) []float64 {
-	preds := s.Run(forcing, params, cfg, &SimScratch{}, nil)
-	return append([]float64(nil), preds...)
-}
-
-// NewCompiledSystem compiles both derivative trees into a System.
-func NewCompiledSystem(phy, zoo *expr.Node) (*System, error) {
-	p, err := NewCompiledRHS(phy)
-	if err != nil {
-		return nil, err
-	}
-	z, err := NewCompiledRHS(zoo)
-	if err != nil {
-		return nil, err
-	}
-	return &System{Phy: p, Zoo: z}, nil
 }
 
 // NewTreeSystem wraps both derivative trees in the interpreting evaluator.

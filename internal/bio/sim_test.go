@@ -108,52 +108,11 @@ func manualWorkload(t testing.TB) (phy, zoo *expr.Node, params []float64, forcin
 	return phy, zoo, params, forcing
 }
 
-// TestSharedSystemMatchesCompiledSystem verifies the lock-free shared path
-// (immutable programs + caller scratch) is bit-identical to the
-// per-goroutine CompiledRHS path and to tree interpretation.
-func TestSharedSystemMatchesCompiledSystem(t *testing.T) {
-	phy, zoo, params, forcing := manualWorkload(t)
-	compiled, err := NewCompiledSystem(phy, zoo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := NewSharedSystem(phy, zoo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := SimConfig{Phy0: 10, Zoo0: 1}
-	want := compiled.Predict(forcing, params, cfg)
-	var sc SimScratch
-	got := shared.Run(forcing, params, cfg, &sc, nil)
-	if len(got) != len(want) {
-		t.Fatalf("length mismatch: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("day %d: shared %v != compiled %v", i, got[i], want[i])
-		}
-	}
-	// A second run with the same scratch must reproduce the result
-	// (buffers fully reinitialized) without allocating.
-	allocs := testing.AllocsPerRun(10, func() {
-		again := shared.Run(forcing, params, cfg, &sc, nil)
-		if again[len(again)-1] != want[len(want)-1] {
-			t.Fatal("scratch reuse changed the trajectory")
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("SharedSystem.Run with warm scratch allocated %v times per run, want 0", allocs)
-	}
-}
-
 // TestRunBufReusesScratch checks the caller-supplied-buffer System variant:
 // identical trajectory to Run, and allocation-free once warm.
 func TestRunBufReusesScratch(t *testing.T) {
 	phy, zoo, params, forcing := manualWorkload(t)
-	sys, err := NewCompiledSystem(phy, zoo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := NewTreeSystem(phy, zoo)
 	cfg := SimConfig{Phy0: 10, Zoo0: 1}
 	want := sys.Run(forcing, params, cfg, nil)
 	var sc SimScratch
@@ -171,29 +130,30 @@ func TestRunBufReusesScratch(t *testing.T) {
 	}
 }
 
-// TestSharedSystemConcurrent runs one SharedSystem from many goroutines,
-// each with its own scratch; results must all agree (run under -race this
-// guards the immutability contract).
-func TestSharedSystemConcurrent(t *testing.T) {
+// TestSegSystemConcurrent runs one SegSystem and one shared exogenous plan
+// from many goroutines, each with its own scratch — the sharing pattern of
+// the evaluator's structure cache; results must all match the tree oracle
+// (run under -race this guards the immutability contract).
+func TestSegSystemConcurrent(t *testing.T) {
 	phy, zoo, params, forcing := manualWorkload(t)
-	shared, err := NewSharedSystem(phy, zoo)
+	seg, err := NewSegSystem(phy, zoo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := SimConfig{Phy0: 10, Zoo0: 1}
-	want := shared.Predict(forcing, params, cfg)
+	want := NewTreeSystem(phy, zoo).Predict(forcing, params, cfg)
+	plan := seg.BuildExogPlan(forcing)
 	const workers = 8
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			var sc SimScratch
 			for r := 0; r < 20; r++ {
-				got := shared.Run(forcing, params, cfg, &sc, nil)
-				for i := range want {
-					if got[i] != want[i] {
-						errs <- fmt.Errorf("concurrent trajectory mismatch at day %d", i)
-						return
-					}
+				seg.Prologue(params, &sc)
+				got := seg.Kernel(plan, cfg, &sc, nil)
+				if !bitsEqual(got, want) {
+					errs <- fmt.Errorf("concurrent trajectory diverges from the tree oracle")
+					return
 				}
 			}
 			errs <- nil

@@ -8,12 +8,14 @@ import (
 	"gmr/internal/bio"
 	"gmr/internal/dataset"
 	"gmr/internal/expr"
+	"gmr/internal/metrics"
+	"gmr/internal/stats"
 )
 
-// batchCalibrators returns the population methods that score whole cohorts
-// per objective call.
+// batchCalibrators returns the methods that score whole cohorts per
+// objective call.
 func batchCalibrators() []BatchCalibrator {
-	return []BatchCalibrator{NewGA(), NewSCEUA(), NewDREAM()}
+	return []BatchCalibrator{NewGA(), NewMC(), NewLHS(), NewSCEUA(), NewDREAM()}
 }
 
 // recordingBatch wraps a scalar objective as a BatchObjective that records
@@ -132,7 +134,8 @@ func TestScalarBatchAppends(t *testing.T) {
 }
 
 // TestRiverBatchObjectiveMatchesScalar checks the lane-batched river
-// objective bit for bit against the compiled scalar objective, across
+// objective bit for bit against the scalar segmented-kernel objective and
+// against tree interpretation of the manual process, across
 // random in-box vectors and hostile out-of-distribution corners that abort
 // the integration.
 func TestRiverBatchObjectiveMatchesScalar(t *testing.T) {
@@ -143,14 +146,11 @@ func TestRiverBatchObjectiveMatchesScalar(t *testing.T) {
 	consts := bio.DefaultConstants()
 	lo, hi := Box(consts)
 	sim := bio.SimConfig{SubSteps: 2, Phy0: ds.ObsPhy[0], Zoo0: ds.ObsZoo[0]}
-	scalar, err := RiverObjective(ds.TrainForcing(), ds.TrainObsPhy(), sim)
+	objs, err := RiverObjectives(ds.TrainForcing(), ds.TrainObsPhy(), sim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := RiverBatchObjective(ds.TrainForcing(), ds.TrainObsPhy(), sim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scalar, batch := objs.Scalar, objs.Batch
 	rng := rand.New(rand.NewSource(21))
 	var params [][]float64
 	for i := 0; i < 2*expr.Lanes+3; i++ { // odd width: full lanes + ragged tail
@@ -161,10 +161,18 @@ func TestRiverBatchObjectiveMatchesScalar(t *testing.T) {
 	if len(out) != len(params) {
 		t.Fatalf("batch returned %d scores for %d vectors", len(out), len(params))
 	}
+	phy, zoo, _, err := bio.ManualSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := bio.NewTreeSystem(phy, zoo)
 	for i, x := range params {
 		want := scalar(x)
 		if math.Float64bits(want) != math.Float64bits(out[i]) {
 			t.Errorf("vector %d: scalar %v, batch %v", i, want, out[i])
+		}
+		if oracle := metrics.RMSE(tree.Predict(ds.TrainForcing(), x, sim), ds.TrainObsPhy()); math.Float64bits(oracle) != math.Float64bits(want) {
+			t.Errorf("vector %d: tree oracle %v, scalar %v", i, oracle, want)
 		}
 	}
 	// Second call with a reused out slice must keep appending correctly.
@@ -188,14 +196,11 @@ func TestRiverBatchCalibrationEndToEnd(t *testing.T) {
 	consts := bio.DefaultConstants()
 	lo, hi := Box(consts)
 	sim := bio.SimConfig{SubSteps: 2, Phy0: ds.ObsPhy[0], Zoo0: ds.ObsZoo[0]}
-	scalar, err := RiverObjective(ds.TrainForcing(), ds.TrainObsPhy(), sim)
+	objs, err := RiverObjectives(ds.TrainForcing(), ds.TrainObsPhy(), sim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := RiverBatchObjective(ds.TrainForcing(), ds.TrainObsPhy(), sim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scalar, batch := objs.Scalar, objs.Batch
 	for _, c := range batchCalibrators() {
 		xs, fs := c.Calibrate(scalar, lo, hi, 400, rand.New(rand.NewSource(2)))
 		xb, fb := c.CalibrateBatch(batch, lo, hi, 400, rand.New(rand.NewSource(2)))
@@ -208,4 +213,108 @@ func TestRiverBatchCalibrationEndToEnd(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mcSequential and lhsSequential are the one-point-at-a-time reference
+// forms of MC and LHS: draw, score, keep the first point unless a later one
+// is strictly better (LHS starts from +Inf, so NaN scores never win).
+func mcSequential(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
+	best := uniformBox(rng, lo, hi)
+	bestF := obj(best)
+	for i := 1; i < budget; i++ {
+		x := uniformBox(rng, lo, hi)
+		if f := obj(x); f < bestF {
+			best, bestF = x, f
+		}
+	}
+	return best, bestF
+}
+
+func lhsSequential(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
+	var best []float64
+	bestF := math.Inf(1)
+	for _, u := range stats.LatinHypercube(rng, budget, len(lo)) {
+		x := make([]float64, len(lo))
+		for j := range x {
+			x[j] = lo[j] + u[j]*(hi[j]-lo[j])
+		}
+		if f := obj(x); f < bestF {
+			best, bestF = x, f
+		}
+	}
+	return best, bestF
+}
+
+// nanFirst scores the first vector it sees as NaN and every later one
+// through obj: MC must keep that NaN-scored first point as its best,
+// because no score is strictly less than NaN, and LHS must skip it.
+func nanFirst(obj Objective) Objective {
+	first := true
+	return func(x []float64) float64 {
+		if first {
+			first = false
+			return math.NaN()
+		}
+		return obj(x)
+	}
+}
+
+// TestSamplersMatchSequentialReference: MC and LHS score in cohorts, yet
+// must return exactly what one-at-a-time sampling returns — over
+// ScalarBatch and over a cohort-recording batch objective, across budgets
+// below, at and above one cohort, with NaN faults and a NaN first score.
+func TestSamplersMatchSequentialReference(t *testing.T) {
+	lo, hi := box(4, -2, 2)
+	target := sphere([]float64{0.5, -1.2, 1.7, 0.0})
+	cases := []struct {
+		name string
+		cal  BatchCalibrator
+		ref  func(Objective, []float64, []float64, int, *rand.Rand) ([]float64, float64)
+	}{
+		{"MC", NewMC(), mcSequential},
+		{"LHS", NewLHS(), lhsSequential},
+	}
+	objs := map[string]func() Objective{
+		"sphere":    func() Objective { return target },
+		"nan-fault": func() Objective { return nanFaulted(target) },
+		"nan-first": func() Objective { return nanFirst(target) },
+	}
+	for _, c := range cases {
+		for name, mk := range objs {
+			for _, budget := range []int{1, 100, sampleCohort, 3*sampleCohort + 17} {
+				xRef, fRef := c.ref(mk(), lo, hi, budget, rand.New(rand.NewSource(5)))
+				xs, fs := c.cal.CalibrateBatch(ScalarBatch(mk()), lo, hi, budget, rand.New(rand.NewSource(5)))
+				rec := &recordingBatch{}
+				xb, fb := c.cal.CalibrateBatch(rec.wrap(mk()), lo, hi, budget, rand.New(rand.NewSource(5)))
+				for _, got := range []struct {
+					x []float64
+					f float64
+				}{{xs, fs}, {xb, fb}} {
+					if math.Float64bits(got.f) != math.Float64bits(fRef) || !bitsEqualVec(got.x, xRef) {
+						t.Fatalf("%s/%s/budget %d: got (%v, %v), sequential reference (%v, %v)",
+							c.name, name, budget, got.x, got.f, xRef, fRef)
+					}
+				}
+				if rec.total != budget || rec.maxWidth() > sampleCohort {
+					t.Errorf("%s/%s/budget %d: scored %d vectors in cohorts up to %d",
+						c.name, name, budget, rec.total, rec.maxWidth())
+				}
+				if name == "nan-first" && c.name == "MC" && !math.IsNaN(fRef) {
+					t.Errorf("MC/nan-first/budget %d: best %v, want the NaN-scored first point", budget, fRef)
+				}
+			}
+		}
+	}
+}
+
+func bitsEqualVec(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -20,10 +20,10 @@ type Objective func(params []float64) float64
 // BatchObjective scores many parameter vectors in one call, appending one
 // value per vector to out (reusing its capacity) and returning it. Each
 // scored vector counts as one objective evaluation against a calibrator's
-// budget. Batch-capable objectives (RiverBatchObjective, the lane-batched
-// evaluator behind it) amortize compiled-structure resolution and
-// instruction dispatch across the whole batch; out[i] must equal what the
-// scalar objective would return for params[i].
+// budget. Batch-capable objectives (the Batch form of RiverObjectives,
+// the lane-batched evaluator behind it) amortize compiled-structure
+// resolution and instruction dispatch across the whole batch; out[i] must
+// equal what the scalar objective would return for params[i].
 type BatchObjective func(params [][]float64, out []float64) []float64
 
 // ScalarBatch adapts a scalar Objective to the batch signature (one
@@ -40,6 +40,24 @@ func ScalarBatch(obj Objective) BatchObjective {
 	}
 }
 
+// Objectives carries one objective in both forms: Batch must return, for
+// each vector, exactly what Scalar returns for it.
+type Objectives struct {
+	Scalar Objective
+	Batch  BatchObjective
+}
+
+// Calibrate runs c on the objective: CalibrateBatch over o.Batch when c is
+// a BatchCalibrator (whole cohorts per call), Calibrate over o.Scalar
+// otherwise. Both entry points follow the same trajectory, so the choice
+// changes cost, never results.
+func (o Objectives) Calibrate(c Calibrator, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64) {
+	if bc, ok := c.(BatchCalibrator); ok {
+		return bc.CalibrateBatch(o.Batch, lo, hi, budget, rng)
+	}
+	return c.Calibrate(o.Scalar, lo, hi, budget, rng)
+}
+
 // Calibrator optimizes an objective over a box with an evaluation budget.
 type Calibrator interface {
 	// Name is the method's display name (Table V row label).
@@ -49,14 +67,14 @@ type Calibrator interface {
 	Calibrate(obj Objective, lo, hi []float64, budget int, rng *rand.Rand) ([]float64, float64)
 }
 
-// BatchCalibrator is implemented by population calibrators (GA, SCE-UA,
-// DREAM) whose evaluations arrive in natural cohorts — generations,
-// complex sweeps, chain sweeps — and can therefore score whole populations
-// per objective call. CalibrateBatch is the canonical implementation;
-// Calibrate wraps the objective with ScalarBatch and delegates, so the two
-// entry points follow identical trajectories by construction. Sequential
-// methods (Nelder–Mead's probe chain, MCMC's single chain) have no cohort
-// structure and stay scalar.
+// BatchCalibrator is implemented by calibrators whose evaluations arrive in
+// natural cohorts — GA generations, SCE-UA complex sweeps, DREAM chain
+// sweeps, MC and LHS sampling cohorts — and can therefore score whole
+// populations per objective call. CalibrateBatch is the canonical
+// implementation; Calibrate wraps the objective with ScalarBatch and
+// delegates, so the two entry points follow identical trajectories by
+// construction. Sequential methods (Nelder–Mead's probe chain, MCMC's
+// single chain, SA's walk) have no cohort structure and stay scalar.
 type BatchCalibrator interface {
 	Calibrator
 	// CalibrateBatch is Calibrate over a batch objective: same contract,

@@ -12,55 +12,52 @@ import (
 // RMSE of the fixed manual biological process of equations (1) and (2)
 // under the candidate parameter vector. Only the parameters vary — the
 // model structure never does, which is exactly what separates model
-// calibration from model revision in Table I.
+// calibration from model revision in Table I. It is the scalar half of
+// RiverObjectives; like its batch form, the returned closure reuses
+// internal buffers and is not safe for concurrent calls.
 func RiverObjective(forcing [][]float64, obs []float64, sim bio.SimConfig) (Objective, error) {
-	phy, zoo, _, err := bio.ManualSystem()
-	if err != nil {
-		return nil, err
-	}
-	sys, err := bio.NewCompiledSystem(phy, zoo)
-	if err != nil {
-		return nil, err
-	}
-	return func(params []float64) float64 {
-		preds := sys.Predict(forcing, params, sim)
-		return metrics.RMSE(preds, obs)
-	}, nil
+	objs, err := RiverObjectives(forcing, obs, sim)
+	return objs.Scalar, err
 }
 
-// RiverBatchObjective is the lane-batched form of RiverObjective: the
-// manual process is compiled once into the segmented register VM, the
-// exogenous plan is hoisted once over the training window, and each call
-// scores a whole population through bio.KernelLanes — every STEP
-// instruction dispatched once per expr.Lanes parameter vectors instead of
-// once per vector (DESIGN.md §11). Scores are bitwise identical to
-// RiverObjective's (the segmented and lane kernels reproduce the compiled
-// system bit for bit, and aborted members yield the same truncated
-// NaN-terminated prediction series). The returned closure reuses internal
-// buffers and is not safe for concurrent calls.
-func RiverBatchObjective(forcing [][]float64, obs []float64, sim bio.SimConfig) (BatchObjective, error) {
+// RiverObjectives builds the river objective in both forms over one
+// compiled manual process and one hoisted exogenous plan (see
+// StructureObjectives).
+func RiverObjectives(forcing [][]float64, obs []float64, sim bio.SimConfig) (Objectives, error) {
 	phy, zoo, _, err := bio.ManualSystem()
 	if err != nil {
-		return nil, err
+		return Objectives{}, err
 	}
 	sys, err := bio.NewSegSystem(phy, zoo)
 	if err != nil {
-		return nil, err
+		return Objectives{}, err
 	}
-	return StructureBatchObjective(sys, forcing, obs, sim), nil
+	return StructureObjectives(sys, forcing, obs, sim), nil
 }
 
-// StructureBatchObjective is RiverBatchObjective for an arbitrary compiled
-// structure: training RMSE of sys under the candidate parameter vector,
-// scored through the lane kernel. This is what posterior sampling around a
-// revised champion uses (gmr -export-model -posterior N): the structure is
-// the GP winner's, only its parameters vary. The returned closure reuses
-// internal buffers and is not safe for concurrent calls.
-func StructureBatchObjective(sys *bio.SegSystem, forcing [][]float64, obs []float64, sim bio.SimConfig) BatchObjective {
+// StructureObjectives is the calibration objective of an arbitrary compiled
+// structure — training RMSE of sys under the candidate parameter vector —
+// in both forms. The exogenous plan is hoisted once over the training
+// window and shared. Scalar runs the segmented kernel (one Prologue+Kernel
+// per vector); Batch scores a whole population through bio.KernelLanes,
+// every STEP instruction dispatched once per expr.Lanes parameter vectors
+// instead of once per vector (DESIGN.md §11). The two agree bitwise (the
+// lane kernel reproduces the scalar kernel bit for bit, and aborted members
+// yield the same truncated NaN-terminated prediction series). Posterior
+// sampling around a revised champion uses the batch form (gmr
+// -export-model -posterior N): the structure is the GP winner's, only its
+// parameters vary. Each closure reuses its own internal buffers and is not
+// safe for concurrent calls.
+func StructureObjectives(sys *bio.SegSystem, forcing [][]float64, obs []float64, sim bio.SimConfig) Objectives {
 	plan := sys.BuildExogPlan(forcing)
 	var sc bio.SimScratch
+	scalar := func(params []float64) float64 {
+		sys.Prologue(params, &sc)
+		return metrics.RMSE(sys.Kernel(plan, sim, &sc, nil), obs)
+	}
+	var lsc bio.SimScratch
 	var preds [expr.Lanes][]float64
-	return func(params [][]float64, out []float64) []float64 {
+	batch := func(params [][]float64, out []float64) []float64 {
 		for base := 0; base < len(params); base += expr.Lanes {
 			end := base + expr.Lanes
 			if end > len(params) {
@@ -70,8 +67,8 @@ func StructureBatchObjective(sys *bio.SegSystem, forcing [][]float64, obs []floa
 			for i := range chunk {
 				preds[i] = preds[i][:0]
 			}
-			sys.PrologueLanes(chunk, &sc)
-			sys.KernelLanes(plan, sim, &sc, len(chunk), func(m, t int, bphy float64) bool {
+			sys.PrologueLanes(chunk, &lsc)
+			sys.KernelLanes(plan, sim, &lsc, len(chunk), func(m, t int, bphy float64) bool {
 				// The scalar kernel records NaN for the day a member's
 				// state goes non-finite and stops; mirror that here so
 				// RMSE sees the same truncated series.
@@ -88,6 +85,7 @@ func StructureBatchObjective(sys *bio.SegSystem, forcing [][]float64, obs []floa
 		}
 		return out
 	}
+	return Objectives{Scalar: scalar, Batch: batch}
 }
 
 // Box extracts the lower/upper calibration bounds from Table III constants.

@@ -113,12 +113,14 @@ type Result struct {
 // runSetup holds the shared artifacts every run mode (sequential runs,
 // context-aware runs, island orchestration) derives from a Config: the
 // knowledge grammar, the prior-wired GP configuration, the simulation
-// options, and the pre-calibration machinery.
+// options, and the pre-calibration machinery. The pre-calibration
+// objectives reuse internal buffers, so a runSetup calibrates one run at a
+// time (runs and island configuration are sequential).
 type runSetup struct {
 	g        *tag.Grammar
 	gpCfg    gp.Config
 	evalOpts evalx.Options
-	precal   calib.Objective
+	precal   *calib.Objectives // nil when pre-calibration is disabled
 	lo, hi   []float64
 	budget   int
 }
@@ -147,13 +149,15 @@ func prepare(ds *dataset.Dataset, cfg Config) (*runSetup, error) {
 	// Pre-calibration of the unrevised process: each run starts from its
 	// own calibrated parameter vector (different calibration seeds find
 	// different basins of the multimodal box, and the runs then explore
-	// revisions from diverse calibrated starting points).
+	// revisions from diverse calibrated starting points). GA scores its
+	// generations through the lane kernel, SA walks on the scalar
+	// segmented kernel; both share one compiled process and plan.
 	if cfg.PreCalibrateBudget >= 0 {
-		obj, err := calib.RiverObjective(ds.TrainForcing(), ds.TrainObsPhy(), evalOpts.Sim)
+		objs, err := calib.RiverObjectives(ds.TrainForcing(), ds.TrainObsPhy(), evalOpts.Sim)
 		if err != nil {
 			return nil, err
 		}
-		s.precal = obj
+		s.precal = &objs
 	}
 	s.lo, s.hi = calib.Box(cfg.Constants)
 	s.budget = cfg.PreCalibrateBudget
@@ -184,7 +188,7 @@ func (s *runSetup) calibrate(idx int, runCfg gp.Config) gp.Config {
 	if idx%2 == 1 {
 		c = calib.NewSA()
 	}
-	params, _ := c.Calibrate(s.precal, s.lo, s.hi, s.budget, rng)
+	params, _ := s.precal.Calibrate(c, s.lo, s.hi, s.budget, rng)
 	runCfg.InitParams = params
 	// The unrevised input process with its calibrated parameters joins
 	// the initial population: revision starts no worse than the

@@ -109,28 +109,6 @@ func BenchmarkEvaluate_Tier1Hit(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluate_Tier1Hit_NoHoist is the ablation twin of Tier1Hit: the
-// same parameter-only workload forced onto the monolithic stack VM. The
-// gap between the two is the segmented register VM's win (DESIGN.md §10).
-func BenchmarkEvaluate_Tier1Hit_NoHoist(b *testing.B) {
-	inds := benchIndividuals(b, 1, 13)
-	forcing, obs := benchWindow(b)
-	ev := New(forcing, obs, bio.DefaultConstants(), Options{
-		UseCache: true, UseCompile: true, Simplify: true, NoHoist: true,
-		Sim: bio.SimConfig{SubSteps: 2, Phy0: obs[0], Zoo0: 1.5}})
-	ev.BeginBatch()
-	defer ev.EndBatch()
-	warm := inds[0]
-	ev.Evaluate(warm)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		warm.Params[0] = 0.1 + float64(i)*1e-9
-		warm.Invalidate()
-		ev.Evaluate(warm)
-	}
-}
-
 // BenchmarkEvaluateParamBatch measures the segmented batch path amortized
 // per member: one structure, batches of 16 parameter vectors, reused
 // result buffer. Steady state this must be allocation-free — the same

@@ -14,11 +14,11 @@
 //     refinement) skips the whole derive→simplify→bind→compile pipeline.
 //     Tier 2 keys on (structure, params) and memoizes the fitness itself.
 //     Simplification raises the hit rate of both tiers.
-//   - Runtime compilation: derivative trees are compiled to stack-machine
-//     bytecode instead of being re-interpreted node by node (the portable
-//     equivalent of the paper's C++ emission, DESIGN.md §3). Compiled
-//     programs are immutable and shared across goroutines; evaluation
-//     stacks live in per-goroutine scratch.
+//   - Runtime compilation: derivative trees are compiled to a segmented
+//     register-VM program instead of being re-interpreted node by node
+//     (the portable equivalent of the paper's C++ emission, DESIGN.md §3).
+//     Compiled programs are immutable and shared across goroutines;
+//     register files live in per-goroutine scratch.
 //
 // Both cache tiers are sharded (striped locks keyed by hash) and the work
 // counters are atomics, so a large parallel batch does not serialize on a
@@ -84,14 +84,10 @@ type Options struct {
 	MinFrac float64
 	// Extrap is Algorithm 1's EXTRAPOLATE; nil means RunningRMSE.
 	Extrap Extrapolate
-	// UseCompile selects bytecode compilation over tree interpretation.
+	// UseCompile selects runtime compilation to the segmented register VM
+	// (DESIGN.md §10) over tree interpretation. Without UseCache the
+	// register program and its exogenous plan are built per evaluation.
 	UseCompile bool
-	// NoHoist disables the segmented register VM (DESIGN.md §10) and
-	// forces the monolithic stack-VM simulation path even when UseCompile
-	// is set. It exists for ablation benchmarks and the segmented-vs-
-	// monolithic differential tests; production configurations leave it
-	// false.
-	NoHoist bool
 	// Simplify applies algebraic simplification before evaluation (and
 	// before cache lookup, raising the hit rate).
 	Simplify bool
@@ -486,16 +482,15 @@ type cacheEntry struct {
 // structEntry is a tier-1 record: the executable form of one canonical
 // structure, shared by all evaluations of that structure.
 type structEntry struct {
-	shared *bio.SharedSystem // compiled (UseCompile); immutable, concurrent-safe
-	tree   *bio.System       // interpreted fallback; TreeRHS is concurrent-safe
-	bad    bool              // structure failed to bind or compile
+	tree *bio.System // interpreted (UseCompile off); TreeRHS is concurrent-safe
+	bad  bool        // structure failed to bind or compile
 
-	// Segmented register VM (DESIGN.md §10): seg is the register program
-	// compiled alongside the stack programs; plan is the lazily built
-	// tier-1.5 exogenous matrix for this evaluator's forcing series. An
-	// evaluator owns exactly one dataset, so the (structure, dataset)
-	// cache key of the issue reduces to the structure — the plan can hang
-	// off the tier-1 entry and be built at most once via planOnce.
+	// Segmented register VM (DESIGN.md §10), built under UseCompile: seg
+	// is the immutable, concurrency-safe register program; plan is the
+	// lazily built tier-1.5 exogenous matrix for this evaluator's forcing
+	// series. An evaluator owns exactly one dataset, so the (structure,
+	// dataset) cache key reduces to the structure — the plan can hang off
+	// the tier-1 entry and be built at most once via planOnce.
 	seg      *bio.SegSystem
 	planOnce sync.Once
 	plan     *bio.ExogPlan
@@ -1137,33 +1132,20 @@ func (e *Evaluator) deriveSplitSimplify(ind *gp.Individual) (phy, zoo *expr.Node
 	return phy, zoo, nil
 }
 
-// buildEntry binds the split system and builds its executable form
-// (bytecode programs under UseCompile, interpreting trees otherwise).
+// buildEntry binds the split system and builds its executable form (the
+// segmented register program under UseCompile, interpreting trees
+// otherwise).
 func (e *Evaluator) buildEntry(phy, zoo *expr.Node) *structEntry {
 	if err := grammar.BindSystem(phy, zoo, e.consts); err != nil {
 		return &structEntry{bad: true}
 	}
 	e.ctr.compiles.Add(1)
 	if e.opts.UseCompile {
-		ss, err := bio.NewSharedSystem(phy, zoo)
+		seg, err := bio.NewSegSystem(phy, zoo)
 		if err != nil {
 			return &structEntry{bad: true}
 		}
-		ent := &structEntry{shared: ss}
-		if e.opts.UseCache && !e.opts.NoHoist {
-			// The segmented path only pays off when the entry (and its
-			// exogenous plan) is reused, so it rides on the tier-1 cache;
-			// the uncached ablation keeps the monolithic stack VM as its
-			// baseline and never builds throwaway plans.
-			// The segmented register program rides along with the stack
-			// programs; if segmented compilation fails (it accepts the
-			// same node set, so it should not), the entry silently falls
-			// back to the monolithic path.
-			if seg, err := bio.NewSegSystem(phy, zoo); err == nil {
-				ent.seg = seg
-			}
-		}
-		return ent
+		return &structEntry{seg: seg}
 	}
 	return &structEntry{tree: bio.NewTreeSystem(phy, zoo)}
 }
@@ -1296,8 +1278,9 @@ func (e *Evaluator) simulate(ent *structEntry, params []float64, sc *evalScratch
 	switch {
 	case ent.seg != nil:
 		// Segmented path (DESIGN.md §10): exogenous work is served from
-		// the tier-1.5 plan, the parameter prologue runs once, and only
-		// the state-dependent STEP segment runs per substep.
+		// the tier-1.5 plan (built per evaluation when the cache is off),
+		// the parameter prologue runs once, and only the state-dependent
+		// STEP segment runs per substep.
 		plan := e.planFor(ent)
 		span := e.tracer.Start("evalx.simulate")
 		defer span.End()
@@ -1312,8 +1295,6 @@ func (e *Evaluator) simulate(ent *structEntry, params []float64, sc *evalScratch
 			ent.seg.Prologue(params, &sc.sim)
 			ent.seg.Kernel(plan, e.opts.Sim, &sc.sim, perStep)
 		}
-	case ent.shared != nil:
-		ent.shared.Run(e.forcing, params, e.opts.Sim, &sc.sim, perStep)
 	default:
 		ent.tree.RunBuf(e.forcing, params, e.opts.Sim, &sc.sim, perStep)
 	}
@@ -1349,7 +1330,7 @@ func PredictIndividual(ind *gp.Individual, consts []bio.Constant, forcing [][]fl
 	if err := grammar.BindSystem(phy, zoo, consts); err != nil {
 		return nil, err
 	}
-	sys, err := bio.NewCompiledSystem(phy, zoo)
+	sys, err := bio.NewSegSystem(phy, zoo)
 	if err != nil {
 		return nil, err
 	}

@@ -24,17 +24,18 @@ func jitterParams(rng *rand.Rand, base []float64) []float64 {
 // TestSegmentedMatchesMonolithic: over grammar-derived random structures ×
 // jittered parameter vectors, an evaluator using the segmented register VM
 // must produce bitwise-identical fitnesses (and short-circuit decisions) to
-// one forced onto the monolithic stack VM via NoHoist. Both evaluators see
-// the same evaluation sequence, so their frozen references evolve in
+// the monolithic tree-interpreting evaluator (UseCompile off: every
+// substep walks both whole trees), the reference oracle. Both evaluators
+// see the same evaluation sequence, so their frozen references evolve in
 // lockstep.
 func TestSegmentedMatchesMonolithic(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	_, g := manualInd(t)
 	opts := Options{UseCache: true, UseCompile: true, Simplify: true, UseShortCircuit: true, Sim: simCfg(obs)}
-	noHoist := opts
-	noHoist.NoHoist = true
+	tree := opts
+	tree.UseCompile = false
 	segEv := New(forcing, obs, consts, opts)
-	monoEv := New(forcing, obs, consts, noHoist)
+	monoEv := New(forcing, obs, consts, tree)
 
 	rng := rand.New(rand.NewSource(17))
 	manual, _ := manualInd(t)
@@ -72,7 +73,7 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 		t.Fatal("no exogenous-plan hits across repeat evaluations")
 	}
 	if mono := monoEv.Stats(); mono.ExogPlanBuilds != 0 || mono.ExogPlanHits != 0 {
-		t.Fatalf("NoHoist evaluator touched the plan cache: %+v", mono)
+		t.Fatalf("tree evaluator touched the plan cache: %+v", mono)
 	}
 }
 

@@ -113,7 +113,7 @@ func scoreProcess(ds *dataset.Dataset, sc Scale, phy, zoo *expr.Node, params []f
 	if err := grammar.BindSystem(p, z, consts); err != nil {
 		return TableVRow{}, err
 	}
-	sys, err := bio.NewCompiledSystem(p, z)
+	sys, err := bio.NewSegSystem(p, z)
 	if err != nil {
 		return TableVRow{}, err
 	}
@@ -175,23 +175,11 @@ func runCalibrator(ds *dataset.Dataset, sc Scale, seed int64, c calib.Calibrator
 	sim := dataset.ModelSimConfig(sc.SubSteps, ds.ObsPhy[0], ds.ObsZoo[0])
 	lo, hi := calib.Box(consts)
 	rng := stats.NewRand(seed*31 + int64(len(c.Name())))
-	var params []float64
-	if bc, ok := c.(calib.BatchCalibrator); ok {
-		// Population methods score whole cohorts through the lane-batched
-		// kernel; the trajectory is identical to the scalar path (see
-		// calib's batch parity tests), just cheaper per candidate.
-		obj, err := calib.RiverBatchObjective(ds.TrainForcing(), ds.TrainObsPhy(), sim)
-		if err != nil {
-			return TableVRow{Method: c.Name()}, err
-		}
-		params, _ = bc.CalibrateBatch(obj, lo, hi, sc.CalibBudget, rng)
-	} else {
-		obj, err := calib.RiverObjective(ds.TrainForcing(), ds.TrainObsPhy(), sim)
-		if err != nil {
-			return TableVRow{Method: c.Name()}, err
-		}
-		params, _ = c.Calibrate(obj, lo, hi, sc.CalibBudget, rng)
+	objs, err := calib.RiverObjectives(ds.TrainForcing(), ds.TrainObsPhy(), sim)
+	if err != nil {
+		return TableVRow{Method: c.Name()}, err
 	}
+	params, _ := objs.Calibrate(c, lo, hi, sc.CalibBudget, rng)
 	row, err := scoreProcess(ds, sc, bio.PhyDeriv(), bio.ZooDeriv(), params)
 	row.Class, row.Method = "Model calibration", c.Name()
 	row.Seconds = time.Since(start).Seconds()
@@ -208,7 +196,7 @@ func runGGGP(ds *dataset.Dataset, sc Scale, seed int64) (TableVRow, error) {
 		if err := grammar.BindSystem(p, z, consts); err != nil {
 			return math.Inf(1)
 		}
-		sys, err := bio.NewCompiledSystem(p, z)
+		sys, err := bio.NewSegSystem(p, z)
 		if err != nil {
 			return math.Inf(1)
 		}
@@ -220,7 +208,7 @@ func runGGGP(ds *dataset.Dataset, sc Scale, seed int64) (TableVRow, error) {
 	// train-side divergence. The runs split the same total budget as a
 	// single big run.
 	lo, hi := calib.Box(consts)
-	obj, err := calib.RiverObjective(forcing, obs, sim)
+	objs, err := calib.RiverObjectives(forcing, obs, sim)
 	if err != nil {
 		return TableVRow{Method: "GGGP"}, err
 	}
@@ -241,7 +229,7 @@ func runGGGP(ds *dataset.Dataset, sc Scale, seed int64) (TableVRow, error) {
 		if run%2 == 1 {
 			c = calib.NewSA()
 		}
-		initParams, _ := c.Calibrate(obj, lo, hi, 3000, stats.NewRand(runSeed^0x5ca1ab1e))
+		initParams, _ := objs.Calibrate(c, lo, hi, 3000, stats.NewRand(runSeed^0x5ca1ab1e))
 		ind, err := gggp.Run(gggp.Config{
 			PopSize: popPerRun, MaxGen: sc.GGGPGen, Seed: runSeed, InitParams: initParams,
 		}, fitness)

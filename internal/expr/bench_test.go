@@ -3,8 +3,9 @@ package expr
 import "testing"
 
 // benchProgram compiles a representative growth-rate-sized expression
-// (mixed arithmetic, min, exp/log — the shapes the river grammar derives).
-func benchProgram(b *testing.B) (*Program, []float64, []float64) {
+// (mixed arithmetic, min, exp/log — the shapes the river grammar derives)
+// into a register program with every variable treated as forcing.
+func benchProgram(b *testing.B) (*RegProgram, []float64, []float64) {
 	b.Helper()
 	src := "CUA * min(Vn / (Vn + 0.2), Vp / (Vp + 0.02)) * exp(0.07 * Vtmp) * BPhy - CRA * BPhy * BZoo / (BPhy + 10) + log(1 + Vlgt)"
 	n, err := Parse(src)
@@ -16,7 +17,7 @@ func benchProgram(b *testing.B) (*Program, []float64, []float64) {
 	if err := Bind(n, vi, pi); err != nil {
 		b.Fatal(err)
 	}
-	p, err := Compile(n)
+	p, err := CompileReg([]*Node{n}, func(int) bool { return false })
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -25,30 +26,17 @@ func benchProgram(b *testing.B) (*Program, []float64, []float64) {
 	return p, vars, params
 }
 
-// BenchmarkEvalStack measures the bytecode inner loop with a caller-owned
-// stack buffer: the regime every simulation step runs in. Must be 0
-// allocs/op (ISSUE 1).
-func BenchmarkEvalStack(b *testing.B) {
+// BenchmarkEvalOnce measures one unsegmented register-program evaluation
+// with a caller-owned register file (every segment runs). Must be 0
+// allocs/op.
+func BenchmarkEvalOnce(b *testing.B) {
 	p, vars, params := benchProgram(b)
-	stack := make([]float64, 0, p.StackSize())
+	regs := make([]float64, p.NumRegs())
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink = p.EvalStack(vars, params, stack)
-	}
-	_ = sink
-}
-
-// BenchmarkEval measures the convenience entry point that allocates a
-// fresh stack per call, for contrast with EvalStack.
-func BenchmarkEval(b *testing.B) {
-	p, vars, params := benchProgram(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink = p.Eval(vars, params)
+		sink = p.EvalOnce(vars, params, regs)
 	}
 	_ = sink
 }

@@ -246,7 +246,8 @@ func TestSimplifyPreservesSemantics(t *testing.T) {
 	}
 }
 
-// Property: the compiled program agrees with the tree interpreter exactly.
+// Property: the compiled register program agrees with the tree interpreter
+// exactly.
 func TestCompileMatchesInterpreter(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	vars := []string{"x", "y", "z"}
@@ -256,18 +257,18 @@ func TestCompileMatchesInterpreter(t *testing.T) {
 		if err := Bind(n, varIdx, map[string]int{}); err != nil {
 			t.Fatal(err)
 		}
-		prog, err := Compile(n)
+		prog, err := CompileReg([]*Node{n}, func(int) bool { return false })
 		if err != nil {
-			t.Fatalf("Compile: %v (tree %s)", err, n)
+			t.Fatalf("CompileReg: %v (tree %s)", err, n)
 		}
-		stack := make([]float64, 0, prog.StackSize())
+		regs := make([]float64, prog.NumRegs())
 		for trial := 0; trial < 5; trial++ {
 			vs := []float64{rng.NormFloat64() * 10, rng.NormFloat64() * 10, rng.NormFloat64() * 10}
 			want, err := n.Eval(&Env{Vars: vs})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := prog.EvalStack(vs, nil, stack)
+			got := prog.EvalOnce(vs, nil, regs)
 			if want != got && !(math.IsNaN(want) && math.IsNaN(got)) {
 				t.Fatalf("tree %d: compiled %v != interpreted %v for %s", i, got, want, n)
 			}
@@ -276,13 +277,17 @@ func TestCompileMatchesInterpreter(t *testing.T) {
 }
 
 func TestCompileRejectsIncomplete(t *testing.T) {
-	if _, err := Compile(NewSubSite("Exp")); err == nil {
+	compile := func(n *Node) error {
+		_, err := CompileReg([]*Node{n}, func(int) bool { return false })
+		return err
+	}
+	if err := compile(NewSubSite("Exp")); err == nil {
 		t.Error("compiled an open substitution site")
 	}
-	if _, err := Compile(NewFoot("Exp")); err == nil {
+	if err := compile(NewFoot("Exp")); err == nil {
 		t.Error("compiled a foot node")
 	}
-	if _, err := Compile(NewVar("unbound")); err == nil {
+	if err := compile(NewVar("unbound")); err == nil {
 		t.Error("compiled an unbound variable")
 	}
 }

@@ -1,8 +1,8 @@
 // Package expr implements the expression trees that represent process
 // equations in the GMR framework: construction, guarded evaluation,
 // algebraic simplification, canonical printing, parsing, and compilation to
-// a stack-machine bytecode (the library's stand-in for the paper's runtime
-// compilation, see DESIGN.md §3).
+// a segmented register-VM program (the library's stand-in for the paper's
+// runtime compilation, see DESIGN.md §3).
 //
 // Expression trees double as the *object-level* trees of the TAG machinery:
 // a node may carry a grammar label (Sym) marking it as an adjunction site,

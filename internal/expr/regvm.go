@@ -5,12 +5,12 @@ import (
 	"math"
 )
 
-// This file implements the register-based segmented VM that replaces the
-// postfix stack machine on the simulation hot path (DESIGN.md §10). A bound
-// tree (or a set of trees sharing subexpressions, e.g. the two derivative
-// expressions of a biological process) is compiled into a linear SSA-style
-// instruction stream over a flat register file, with common subexpressions
-// collapsed to a single register by value numbering.
+// This file implements the register-based segmented VM, the compiled form
+// every simulation runs on ("runtime compilation", DESIGN.md §3 and §10).
+// A bound tree (or a set of trees sharing subexpressions, e.g. the two
+// derivative expressions of a biological process) is compiled into a
+// linear SSA-style instruction stream over a flat register file, with
+// common subexpressions collapsed to a single register by value numbering.
 //
 // Every instruction is classified at compile time by what its value depends
 // on — forcing (exogenous) variables, constant parameters, state variables —
@@ -30,9 +30,10 @@ import (
 //	      per-substep kernel.
 //
 // Literal-only subexpressions are folded at compile time with the same
-// guarded operators the other evaluators use, so all three evaluation paths
-// (tree interpreter, stack Program, register program) agree bitwise on
-// well-defined inputs; the differential fuzz targets enforce this.
+// guarded operators the tree interpreter uses, so the register program
+// agrees bitwise with the tree interpreter (the reference oracle) whenever
+// no NaN flows through an n-ary min/max; the differential fuzz targets
+// enforce this.
 
 // ropcode enumerates register-VM operations. Loads read an external vector
 // (vars or params); arithmetic reads and writes registers only.
@@ -127,10 +128,18 @@ type regCompiler struct {
 	vn map[vnKey]uint16
 	// constByBits dedupes the literal pool.
 	constByBits map[uint64]uint16
-	// class[r] is the segment class of register r.
-	class []segClass
-	// constVal[r] holds the folded value of a segConst register.
-	constVal map[uint16]float64
+	// reg[r] is the segment class of register r and, for a segConst
+	// register, its folded value.
+	reg []regInfo
+	// code holds every emitted instruction in emission order; CompileReg
+	// splits it into the four segments at the end, so a compile allocates
+	// each segment once instead of growing four slices.
+	code []rinstr
+}
+
+type regInfo struct {
+	cls segClass
+	val float64
 }
 
 type vnKey struct {
@@ -151,12 +160,20 @@ func CompileReg(roots []*Node, isState func(varIdx int) bool) (*RegProgram, erro
 	if isState == nil {
 		isState = func(int) bool { return false }
 	}
+	// Tree size approximates the register and instruction counts (folding
+	// and CSE shrink them, n-ary folds add a few), so it sizes the
+	// compiler's tables up front.
+	size := 0
+	for _, root := range roots {
+		size += root.Size()
+	}
 	c := &regCompiler{
 		isState:     isState,
-		p:           &RegProgram{},
-		vn:          map[vnKey]uint16{},
+		p:           &RegProgram{roots: make([]uint16, 0, len(roots))},
+		vn:          make(map[vnKey]uint16, size),
 		constByBits: map[uint64]uint16{},
-		constVal:    map[uint16]float64{},
+		reg:         make([]regInfo, 0, size),
+		code:        make([]rinstr, 0, size),
 	}
 	for _, root := range roots {
 		r, _, err := c.compile(root)
@@ -166,8 +183,27 @@ func CompileReg(roots []*Node, isState func(varIdx int) bool) (*RegProgram, erro
 		c.p.roots = append(c.p.roots, r)
 	}
 	c.p.numRegs = c.numRegs
+	c.splitSegments()
 	c.collectExogOut()
 	return c.p, nil
+}
+
+// splitSegments partitions the emitted instructions by segment class into
+// one backing array, keeping emission order within each segment.
+func (c *regCompiler) splitSegments() {
+	all := make([]rinstr, 0, len(c.code))
+	for _, seg := range []struct {
+		cls segClass
+		dst *[]rinstr
+	}{{segExog, &c.p.exog}, {segParam, &c.p.param}, {segDay, &c.p.day}, {segStep, &c.p.step}} {
+		start := len(all)
+		for _, in := range c.code {
+			if c.reg[in.dst].cls == seg.cls {
+				all = append(all, in)
+			}
+		}
+		*seg.dst = all[start:len(all):len(all)]
+	}
 }
 
 const maxRegs = 1 << 16
@@ -178,7 +214,7 @@ func (c *regCompiler) alloc(cls segClass) (uint16, error) {
 	}
 	r := uint16(c.numRegs)
 	c.numRegs++
-	c.class = append(c.class, cls)
+	c.reg = append(c.reg, regInfo{cls: cls})
 	return r, nil
 }
 
@@ -193,28 +229,14 @@ func (c *regCompiler) constReg(v float64) (uint16, error) {
 		return 0, err
 	}
 	c.constByBits[bits] = r
-	c.constVal[r] = v
+	c.reg[r].val = v
 	c.p.constRegs = append(c.p.constRegs, r)
 	c.p.constVals = append(c.p.constVals, v)
 	return r, nil
 }
 
-// segment returns the instruction stream for a class (segConst never emits).
-func (c *regCompiler) segment(cls segClass) *[]rinstr {
-	switch cls {
-	case segExog:
-		return &c.p.exog
-	case segParam:
-		return &c.p.param
-	case segDay:
-		return &c.p.day
-	default:
-		return &c.p.step
-	}
-}
-
-// emit value-numbers op(a, b); on a miss it appends the instruction to the
-// segment of class cls and allocates its destination register.
+// emit value-numbers op(a, b); on a miss it allocates the destination
+// register in class cls and appends the instruction.
 func (c *regCompiler) emit(op ropcode, a, b uint16, cls segClass) (uint16, error) {
 	key := vnKey{op, a, b}
 	if r, ok := c.vn[key]; ok {
@@ -224,14 +246,13 @@ func (c *regCompiler) emit(op ropcode, a, b uint16, cls segClass) (uint16, error
 	if err != nil {
 		return 0, err
 	}
-	seg := c.segment(cls)
-	*seg = append(*seg, rinstr{op: op, dst: r, a: a, b: b})
+	c.code = append(c.code, rinstr{op: op, dst: r, a: a, b: b})
 	c.vn[key] = r
 	return r, nil
 }
 
 // foldUnary/foldBinary apply the guarded operators at compile time; they
-// mirror Eval and the stack VM exactly so folding preserves bit patterns.
+// mirror Eval exactly so folding preserves bit patterns.
 func foldUnary(op ropcode, a float64) float64 {
 	switch op {
 	case ropNeg:
@@ -263,19 +284,19 @@ func foldBinary(op ropcode, a, b float64) float64 {
 // unary/binary emit an operation, constant-folding when every operand is a
 // compile-time constant.
 func (c *regCompiler) unary(op ropcode, a uint16) (uint16, segClass, error) {
-	if c.class[a] == segConst {
-		r, err := c.constReg(foldUnary(op, c.constVal[a]))
+	if c.reg[a].cls == segConst {
+		r, err := c.constReg(foldUnary(op, c.reg[a].val))
 		return r, segConst, err
 	}
-	cls := c.class[a]
+	cls := c.reg[a].cls
 	r, err := c.emit(op, a, 0, cls)
 	return r, cls, err
 }
 
 func (c *regCompiler) binary(op ropcode, a, b uint16) (uint16, segClass, error) {
-	ca, cb := c.class[a], c.class[b]
+	ca, cb := c.reg[a].cls, c.reg[b].cls
 	if ca == segConst && cb == segConst {
-		r, err := c.constReg(foldBinary(op, c.constVal[a], c.constVal[b]))
+		r, err := c.constReg(foldBinary(op, c.reg[a].val, c.reg[b].val))
 		return r, segConst, err
 	}
 	cls := classOf(depMask(ca) | depMask(cb))
@@ -360,8 +381,9 @@ func (c *regCompiler) compile(n *Node) (uint16, segClass, error) {
 		}
 		return c.binary(op, a, b)
 	case Nary:
-		// Lower n-ary min/max to a left fold of binary ops — bitwise
-		// identical to the stack VM's sequential math.Min/math.Max loop.
+		// Lower n-ary min/max to a left fold of binary math.Min/math.Max
+		// ops, which propagate a NaN from any operand (the tree
+		// interpreter's compare-select drops later-operand NaNs).
 		var op ropcode
 		switch n.Op {
 		case OpMin:
@@ -401,9 +423,9 @@ func (c *regCompiler) compile(n *Node) (uint16, segClass, error) {
 // EXOG segment (by DAY/STEP instructions or as roots): only these need to be
 // materialized into the hoisted matrix and reloaded per day.
 func (c *regCompiler) collectExogOut() {
-	live := make(map[uint16]bool)
+	live := make([]bool, c.numRegs)
 	mark := func(r uint16) {
-		if c.class[r] == segExog {
+		if c.reg[r].cls == segExog {
 			live[r] = true
 		}
 	}
@@ -422,10 +444,16 @@ func (c *regCompiler) collectExogOut() {
 		mark(r)
 	}
 	// Ascending register order = compile order: deterministic columns.
-	out := make([]uint16, 0, len(live))
-	for r := uint16(0); int(r) < c.numRegs; r++ {
-		if live[r] {
-			out = append(out, r)
+	k := 0
+	for _, ok := range live {
+		if ok {
+			k++
+		}
+	}
+	out := make([]uint16, 0, k)
+	for r, ok := range live {
+		if ok {
+			out = append(out, uint16(r))
 		}
 	}
 	c.p.exogOut = out

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// Differential tests for the segmented register VM (regvm.go): the register
-// program must agree bitwise with the stack VM on every input (both fold
-// n-ary min/max left-to-right through math.Min/math.Max and share the
-// guarded operators), and with the tree interpreter whenever no NaN flows
-// through an n-ary node (the tree's compare-select loop drops later-operand
-// NaNs; both VMs propagate them — a deliberate, documented divergence).
+// Differential tests for the segmented register VM (regvm.go) against the
+// tree interpreter, the single reference oracle: the register program must
+// agree bitwise with the tree whenever no NaN flows through an n-ary node
+// (the tree's compare-select loop drops later-operand NaNs; the VM's
+// math.Min/math.Max fold propagates them — a deliberate, documented
+// divergence), and in value where a ±0 tie meets min/max.
 
 // bindTestTree binds the randTree/property-test name universe: variables
 // V1, V2, BPhy, BZoo (indices 0-3, with BPhy/BZoo playing the state roles)
@@ -23,21 +23,19 @@ var (
 
 func testIsState(idx int) bool { return idx == 2 || idx == 3 }
 
-// evalAllVMs compiles tree through both VMs and evaluates them on one
-// point, returning (stack result, register result).
-func evalAllVMs(t *testing.T, tree *Node, vars, params []float64) (float64, float64) {
+// evalTreeAndVM evaluates tree on one point through the interpreter and
+// through its compiled register program, returning (tree, register).
+func evalTreeAndVM(t *testing.T, tree *Node, vars, params []float64) (float64, float64) {
 	t.Helper()
-	sp, err := Compile(tree)
+	tv, err := tree.Eval(&Env{Vars: vars, Params: params})
 	if err != nil {
-		t.Fatalf("stack Compile(%s): %v", tree, err)
+		t.Fatalf("tree Eval(%s): %v", tree, err)
 	}
 	rp, err := CompileReg([]*Node{tree}, testIsState)
 	if err != nil {
 		t.Fatalf("CompileReg(%s): %v", tree, err)
 	}
-	stack := make([]float64, 0, sp.StackSize())
-	regs := make([]float64, rp.NumRegs())
-	return sp.EvalStack(vars, params, stack), rp.EvalOnce(vars, params, regs)
+	return tv, rp.EvalOnce(vars, params, make([]float64, rp.NumRegs()))
 }
 
 // sameBits reports bitwise equality, treating any-NaN-vs-any-NaN as equal.
@@ -48,7 +46,7 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-func TestRegVMMatchesStackVMFixed(t *testing.T) {
+func TestRegVMMatchesTreeFixed(t *testing.T) {
 	exprs := []string{
 		"1 + 2 * 3",
 		"(V1 + C1) * (V1 + C1)",                  // CSE: shared subtree
@@ -71,10 +69,10 @@ func TestRegVMMatchesStackVMFixed(t *testing.T) {
 		if err := Bind(tree, testVarIdx, testParamIdx); err != nil {
 			t.Fatalf("Bind(%q): %v", src, err)
 		}
-		sv, rv := evalAllVMs(t, tree, vars, params)
-		if !sameBits(sv, rv) {
-			t.Errorf("%q: stack VM %v (%#x) != register VM %v (%#x)",
-				src, sv, math.Float64bits(sv), rv, math.Float64bits(rv))
+		tv, rv := evalTreeAndVM(t, tree, vars, params)
+		if !sameBits(tv, rv) {
+			t.Errorf("%q: tree %v (%#x) != register VM %v (%#x)",
+				src, tv, math.Float64bits(tv), rv, math.Float64bits(rv))
 		}
 	}
 }
@@ -152,17 +150,13 @@ func TestRegVMCSECollapsesSharedSubtrees(t *testing.T) {
 // TestRegVMSegmentedExecutionMatchesEvalOnce drives the segmented entry
 // points the way the bio kernel does (EvalExog into a matrix, EvalParam,
 // LoadExogRow+EvalDay per row, EvalStep per substep) and checks bitwise
-// agreement with EvalOnce and the stack VM on every row.
+// agreement with EvalOnce and the tree interpreter on every row.
 func TestRegVMSegmentedExecutionMatchesEvalOnce(t *testing.T) {
 	tree := MustParse("BPhy*C1*(V1/(V1+C2)) - BZoo*min(V2, C2, BPhy) + log(V1*V2)")
 	if err := Bind(tree, testVarIdx, testParamIdx); err != nil {
 		t.Fatal(err)
 	}
 	rp, err := CompileReg([]*Node{tree}, testIsState)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := Compile(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +173,6 @@ func TestRegVMSegmentedExecutionMatchesEvalOnce(t *testing.T) {
 
 	regs := make([]float64, rp.NumRegs())
 	rp.EvalParam(params, regs)
-	stack := make([]float64, 0, sp.StackSize())
 	onceRegs := make([]float64, rp.NumRegs())
 	k := rp.ExogWidth()
 	vars := make([]float64, 4)
@@ -193,19 +186,19 @@ func TestRegVMSegmentedExecutionMatchesEvalOnce(t *testing.T) {
 			rp.EvalStep(vars, regs)
 			seg := rp.Root(0, regs)
 			once := rp.EvalOnce(vars, params, onceRegs)
-			sv := sp.EvalStack(vars, params, stack)
-			if !sameBits(seg, once) || !sameBits(seg, sv) {
-				t.Fatalf("day %d substep %d: segmented %v, EvalOnce %v, stack %v", ti, step, seg, once, sv)
+			tv := tree.MustEval(&Env{Vars: vars, Params: params})
+			if !sameBits(seg, once) || !sameBits(seg, tv) {
+				t.Fatalf("day %d substep %d: segmented %v, EvalOnce %v, tree %v", ti, step, seg, once, tv)
 			}
 		}
 	}
 }
 
-// TestRegVMVsStackVMProperty: 800 random trees × 6 random points; the two
-// VMs must agree bitwise (or both be NaN), and the tree interpreter must
-// agree in value whenever the VM result is not NaN (NaN-free evaluations
-// cannot diverge; see the n-ary note at the top of the file).
-func TestRegVMVsStackVMProperty(t *testing.T) {
+// TestRegVMVsTreeProperty: 800 random trees × 6 random points; the
+// register VM must agree with the tree interpreter in value whenever the
+// VM result is not NaN, and be NaN whenever the tree's is (NaN-free
+// evaluations cannot diverge; see the n-ary note at the top of the file).
+func TestRegVMVsTreeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	treeChecked := 0
 	for i := 0; i < 800; i++ {
@@ -213,15 +206,10 @@ func TestRegVMVsStackVMProperty(t *testing.T) {
 		if err := Bind(tree, testVarIdx, testParamIdx); err != nil {
 			t.Fatalf("Bind(%s): %v", tree, err)
 		}
-		sp, err := Compile(tree)
-		if err != nil {
-			t.Fatalf("Compile(%s): %v", tree, err)
-		}
 		rp, err := CompileReg([]*Node{tree}, testIsState)
 		if err != nil {
 			t.Fatalf("CompileReg(%s): %v", tree, err)
 		}
-		stack := make([]float64, 0, sp.StackSize())
 		regs := make([]float64, rp.NumRegs())
 		for p := 0; p < 6; p++ {
 			vars := []float64{
@@ -229,18 +217,15 @@ func TestRegVMVsStackVMProperty(t *testing.T) {
 				-5 + 10*rng.Float64(), -5 + 10*rng.Float64(),
 			}
 			params := []float64{-5 + 10*rng.Float64(), -5 + 10*rng.Float64()}
-			sv := sp.EvalStack(vars, params, stack)
 			rv := rp.EvalOnce(vars, params, regs)
-			if !sameBits(sv, rv) {
-				t.Fatalf("VM divergence on %s\nvars %v params %v\nstack %v (%#x)\nreg   %v (%#x)",
-					tree, vars, params, sv, math.Float64bits(sv), rv, math.Float64bits(rv))
+			tv, err := tree.Eval(&Env{Vars: vars, Params: params})
+			if err != nil {
+				t.Fatalf("tree Eval(%s): %v", tree, err)
+			}
+			if math.IsNaN(tv) && !math.IsNaN(rv) {
+				t.Fatalf("tree NaN but register VM %v on %s\nvars %v params %v", rv, tree, vars, params)
 			}
 			if !math.IsNaN(rv) {
-				env := &Env{Vars: vars, Params: params}
-				tv, err := tree.Eval(env)
-				if err != nil {
-					t.Fatalf("tree Eval(%s): %v", tree, err)
-				}
 				// Plain equality (not bits): the tree's compare-select
 				// min/max keeps the first of two equal values, so ±0
 				// choices may differ from math.Min/math.Max.
@@ -257,10 +242,10 @@ func TestRegVMVsStackVMProperty(t *testing.T) {
 	}
 }
 
-// FuzzRegisterVMVsTreeEval cross-checks the three evaluators on arbitrary
-// parsed expressions and arbitrary input points: the register VM must match
-// the stack VM bitwise (or both NaN) and the tree interpreter in value when
-// the VM result is not NaN.
+// FuzzRegisterVMVsTreeEval cross-checks the register VM against the tree
+// interpreter on arbitrary parsed expressions and arbitrary input points:
+// every tree the interpreter can evaluate must compile, and the two must
+// agree in value when the VM result is not NaN.
 func FuzzRegisterVMVsTreeEval(f *testing.F) {
 	seeds := []struct {
 		src                        string
@@ -287,27 +272,18 @@ func FuzzRegisterVMVsTreeEval(f *testing.F) {
 		if err := Bind(tree, testVarIdx, testParamIdx); err != nil {
 			return // names outside the bound universe
 		}
-		sp, err := Compile(tree)
+		vars := []float64{v1, v2, bphy, bzoo}
+		params := []float64{c1, c2}
+		tv, err := tree.Eval(&Env{Vars: vars, Params: params})
 		if err != nil {
 			return // e.g. open substitution sites
 		}
 		rp, err := CompileReg([]*Node{tree}, testIsState)
 		if err != nil {
-			t.Fatalf("stack VM compiled %q but CompileReg failed: %v", src, err)
+			t.Fatalf("tree evaluates %q but CompileReg failed: %v", src, err)
 		}
-		vars := []float64{v1, v2, bphy, bzoo}
-		params := []float64{c1, c2}
-		sv := sp.EvalStack(vars, params, make([]float64, 0, sp.StackSize()))
 		rv := rp.EvalOnce(vars, params, make([]float64, rp.NumRegs()))
-		if !sameBits(sv, rv) {
-			t.Fatalf("VM divergence on %q\nvars %v params %v\nstack %v (%#x)\nreg   %v (%#x)",
-				src, vars, params, sv, math.Float64bits(sv), rv, math.Float64bits(rv))
-		}
 		if !math.IsNaN(rv) {
-			tv, err := tree.Eval(&Env{Vars: vars, Params: params})
-			if err != nil {
-				t.Fatalf("tree Eval(%q): %v", src, err)
-			}
 			if tv != rv {
 				t.Fatalf("tree divergence on %q\nvars %v params %v\ntree %v reg %v", src, vars, params, tv, rv)
 			}
