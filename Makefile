@@ -50,14 +50,14 @@ chaos:
 
 # bench runs the hot-path microbenchmarks with allocation reporting.
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/expr/ ./internal/bio/ ./internal/evalx/
+	$(GO) test -run xxx -bench . -benchmem ./internal/expr/ ./internal/bio/ ./internal/evalx/ ./internal/obs/
 
 # bench-smoke compiles and runs every benchmark exactly once (-benchtime=1x):
 # a fast CI guard that benchmark code still builds and executes, without
 # measuring anything. Includes a short servebench pass (0.2s per load
 # level) so the serving load generator stays green without measuring.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/expr/ ./internal/bio/ ./internal/evalx/
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/expr/ ./internal/bio/ ./internal/evalx/ ./internal/obs/
 	$(GO) test -run xxx -bench EvaluatePop -benchtime 1x .
 	$(GO) run ./cmd/riverbench -exp servebench -serve-duration 200ms \
 		-serve-out /tmp/BENCH_SERVE.smoke.json

@@ -128,7 +128,9 @@ func main() {
 		filter := map[string]bool{}
 		if *methods != "" {
 			for _, m := range strings.Split(*methods, ",") {
-				filter[strings.TrimSpace(m)] = true
+				if m = strings.TrimSpace(m); m != "" {
+					filter[m] = true
+				}
 			}
 		}
 		rows, err := experiments.TableV(ctx, ds, sc, *seed, filter)

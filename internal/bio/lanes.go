@@ -1,6 +1,8 @@
 package bio
 
 import (
+	"time"
+
 	"gmr/internal/expr"
 )
 
@@ -20,22 +22,52 @@ import (
 // the kernel returns early; this is how short-circuit early abandon saves
 // work inside a batch.
 
-// LaneHook observes one member of a lane batch, with the same protocol as
+// LaneHook observes one member of a lane run, with the same protocol as
 // the scalar Kernel's perStep hook applied per member: after each
 // integrated day it receives (member, t, bphy) and returns false to stop
 // that member early; on a non-finite abort it is called one final time
 // with the offending value (and the member stops regardless of the return
-// value). member is the index into the params slice passed to
-// PrologueLanes, stable across lane compaction.
+// value). member is the index into the params slice passed to RunLanes,
+// stable across chunking and lane compaction.
 type LaneHook func(member, t int, bphy float64) bool
 
-// PrologueLanes sizes the lane-major scratch buffers and runs the
+// LaunchFunc observes one lane-kernel launch of RunLanes: the number of
+// members it carried, when it started, and how long prologue plus kernel
+// took.
+type LaunchFunc func(members int, start time.Time, dur time.Duration)
+
+// RunLanes is the lane driver: it scores every parameter vector in params
+// through the plan, chunked into expr.Lanes-wide launches in input order
+// (one PARAM prologue plus one lockstep kernel run per launch). For each
+// live member, per day, hook(member, t, bphy) receives exactly the values
+// the scalar Kernel would append to preds and pass to perStep for that
+// member's parameters; member indexes params. onLaunch, when non-nil,
+// observes each launch. No params means no launch. It returns the number
+// of lane compactions: members dropped mid-launch because they aborted
+// (non-finite state) or their hook stopped them. Steady-state calls with a
+// reused SimScratch are allocation-free.
+func (s *SegSystem) RunLanes(plan *ExogPlan, params [][]float64, cfg SimConfig, sc *SimScratch, hook LaneHook, onLaunch LaunchFunc) (drops int) {
+	for base := 0; base < len(params); base += expr.Lanes {
+		chunk := params[base:min(base+expr.Lanes, len(params))]
+		var t0 time.Time
+		if onLaunch != nil {
+			t0 = time.Now()
+		}
+		s.prologueLanes(chunk, sc)
+		drops += s.kernelLanes(plan, cfg, sc, len(chunk), base, hook)
+		if onLaunch != nil {
+			onLaunch(len(chunk), t0, time.Since(t0))
+		}
+	}
+	return drops
+}
+
+// prologueLanes sizes the lane-major scratch buffers and runs the
 // per-candidate PARAM segment for each of the n = len(params) candidates,
 // one per lane. 1 ≤ n ≤ expr.Lanes is required; tail lanes of a short
 // batch are padded by repeating params[0] (they compute real, finite
-// values and are never reported). It must be called once per batch before
-// KernelLanes with the same scratch.
-func (s *SegSystem) PrologueLanes(params [][]float64, sc *SimScratch) {
+// values and are never reported).
+func (s *SegSystem) prologueLanes(params [][]float64, sc *SimScratch) {
 	sc.regsLanes = growBuf(sc.regsLanes, s.Prog.LaneRegs())
 	for l := 0; l < expr.Lanes; l++ {
 		if l < len(params) {
@@ -47,19 +79,13 @@ func (s *SegSystem) PrologueLanes(params [][]float64, sc *SimScratch) {
 	s.Prog.EvalParamLanes(&sc.paramLanes, sc.regsLanes)
 }
 
-// KernelLanes integrates n candidates over the plan's days in lockstep.
-// PrologueLanes must have run first with the same scratch and n parameter
-// vectors. Predictions are delivered through hook (which must be non-nil):
-// for each live member, per day, hook(member, t, bphy) — exactly the
-// values the scalar Kernel would append to preds and pass to perStep for
-// that member's parameters. Steady-state calls with a reused SimScratch
-// are allocation-free.
-func (s *SegSystem) KernelLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, n int, hook LaneHook) {
+// kernelLanes integrates n ≤ expr.Lanes candidates over the plan's days in
+// lockstep; prologueLanes must have run first with the same scratch and n
+// parameter vectors. Lane l reports to hook as member base+l. It returns
+// the number of lanes compacted away.
+func (s *SegSystem) kernelLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, n, base int, hook LaneHook) int {
 	cfg = cfg.withDefaults()
 	const L = expr.Lanes
-	if n > L {
-		n = L
-	}
 	sc.varsLanes = growBuf(sc.varsLanes, NumVars*L)
 	vars, regs := sc.varsLanes, sc.regsLanes
 	prog, k := s.Prog, plan.k
@@ -69,7 +95,7 @@ func (s *SegSystem) KernelLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, n
 	var member [L]int
 	for l := 0; l < n; l++ {
 		bphy[l], bzoo[l] = cfg.Phy0, cfg.Zoo0
-		member[l] = l
+		member[l] = base + l
 	}
 	active := n
 	phyLane := vars[IdxBPhy*L : IdxBPhy*L+L]
@@ -80,7 +106,6 @@ func (s *SegSystem) KernelLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, n
 	// unperturbed; the freed tail slot keeps computing stale values that
 	// are never read.
 	drop := func(l int) {
-		sc.LaneDrops++
 		active--
 		if l != active {
 			prog.CopyLane(l, active, regs)
@@ -110,7 +135,7 @@ func (s *SegSystem) KernelLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, n
 				bzoo[l] = clamp(bzoo[l], cfg.ClampMin, cfg.ClampMax)
 			}
 			if active == 0 {
-				return
+				return n
 			}
 		}
 		for l := 0; l < active; l++ {
@@ -120,27 +145,8 @@ func (s *SegSystem) KernelLanes(plan *ExogPlan, cfg SimConfig, sc *SimScratch, n
 			}
 		}
 		if active == 0 {
-			return
+			return n
 		}
 	}
-}
-
-// RunLanes is the convenience lane entry point: it builds a throwaway
-// exogenous plan, runs the lane prologue, and invokes the lane kernel over
-// all candidates, chunking params into expr.Lanes-wide batches. Hot paths
-// cache the plan and call PrologueLanes+KernelLanes directly instead.
-func (s *SegSystem) RunLanes(forcing [][]float64, params [][]float64, cfg SimConfig, sc *SimScratch, hook LaneHook) {
-	plan := s.BuildExogPlan(forcing)
-	for base := 0; base < len(params); base += expr.Lanes {
-		end := base + expr.Lanes
-		if end > len(params) {
-			end = len(params)
-		}
-		chunk := params[base:end]
-		s.PrologueLanes(chunk, sc)
-		off := base
-		s.KernelLanes(plan, cfg, sc, len(chunk), func(m, t int, bphy float64) bool {
-			return hook(off+m, t, bphy)
-		})
-	}
+	return n - active
 }

@@ -1,13 +1,15 @@
 package bio
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"gmr/internal/expr"
 )
 
-// Differential tests for the lane-batched kernel: KernelLanes must deliver,
+// Differential tests for the lane driver: RunLanes must deliver,
 // per member, exactly the hook sequence the scalar Kernel produces for that
 // member's parameter vector — same days, same bitwise biomasses, same
 // non-finite abort values, same early stops — regardless of how many lanes
@@ -66,10 +68,9 @@ func TestKernelLanesMatchesScalarKernel(t *testing.T) {
 			// Lane run: all members in one batch.
 			got := make([]stepTrace, n)
 			var scLanes SimScratch
-			seg.PrologueLanes(params, &scLanes)
-			seg.KernelLanes(plan, cfg, &scLanes, n, func(m, day int, bphy float64) bool {
+			seg.RunLanes(plan, params, cfg, &scLanes, func(m, day int, bphy float64) bool {
 				return got[m].hook(stopAt[m])(day, bphy)
-			})
+			}, nil)
 
 			for m := range params {
 				if !sameTrace(&want[m], &got[m]) {
@@ -81,9 +82,9 @@ func TestKernelLanesMatchesScalarKernel(t *testing.T) {
 	}
 }
 
-// TestRunLanesChunksWideBatches checks the convenience entry point against
-// scalar runs for batches wider than the lane count (forcing chunking and
-// member-index offsetting).
+// TestRunLanesChunksWideBatches checks the lane driver against scalar runs
+// for batches wider than the lane count (forcing chunking and member-index
+// offsetting).
 func TestRunLanesChunksWideBatches(t *testing.T) {
 	consts := DefaultConstants()
 	paramIdx := ParamIndex(consts)
@@ -111,9 +112,9 @@ func TestRunLanesChunksWideBatches(t *testing.T) {
 
 	got := make([]stepTrace, n)
 	var scLanes SimScratch
-	seg.RunLanes(forcing, params, cfg, &scLanes, func(m, day int, bphy float64) bool {
+	seg.RunLanes(plan, params, cfg, &scLanes, func(m, day int, bphy float64) bool {
 		return got[m].hook(-1)(day, bphy)
-	})
+	}, nil)
 	for m := range params {
 		if !sameTrace(&want[m], &got[m]) {
 			t.Fatalf("member %d: RunLanes trace diverges from scalar", m)
@@ -156,10 +157,9 @@ func TestKernelLanesCompactionStress(t *testing.T) {
 
 		got := make([]stepTrace, n)
 		var scLanes SimScratch
-		seg.PrologueLanes(params, &scLanes)
-		seg.KernelLanes(plan, cfg, &scLanes, n, func(m, day int, bphy float64) bool {
+		seg.RunLanes(plan, params, cfg, &scLanes, func(m, day int, bphy float64) bool {
 			return got[m].hook(stopAt[m])(day, bphy)
-		})
+		}, nil)
 		for m := range params {
 			if !sameTrace(&want[m], &got[m]) {
 				t.Fatalf("trial %d member %d: compacted lane trace diverges\nscalar days %v\nlane   days %v",
@@ -169,8 +169,8 @@ func TestKernelLanesCompactionStress(t *testing.T) {
 	}
 }
 
-// TestKernelLanesAllocFree: steady-state lane batches with a reused scratch
-// must not allocate.
+// TestKernelLanesAllocFree: steady-state lane runs with a reused scratch
+// must not allocate, with or without a launch callback.
 func TestKernelLanesAllocFree(t *testing.T) {
 	consts := DefaultConstants()
 	paramIdx := ParamIndex(consts)
@@ -189,14 +189,106 @@ func TestKernelLanesAllocFree(t *testing.T) {
 	}
 	var sc SimScratch
 	hook := func(m, day int, bphy float64) bool { return true }
+	launches := 0
+	onLaunch := func(int, time.Time, time.Duration) { launches++ }
 	// Warm the scratch buffers once.
-	seg.PrologueLanes(params, &sc)
-	seg.KernelLanes(plan, cfg, &sc, len(params), hook)
+	seg.RunLanes(plan, params, cfg, &sc, hook, nil)
 	allocs := testing.AllocsPerRun(10, func() {
-		seg.PrologueLanes(params, &sc)
-		seg.KernelLanes(plan, cfg, &sc, len(params), hook)
+		seg.RunLanes(plan, params, cfg, &sc, hook, nil)
+		seg.RunLanes(plan, params, cfg, &sc, hook, onLaunch)
 	})
 	if allocs != 0 {
 		t.Fatalf("lane batch allocates %.1f times per run; want 0", allocs)
+	}
+}
+
+// TestRunLanesDriver pins the driver's contract: no members means no launch
+// and no hook call; otherwise ⌈n/expr.Lanes⌉ launches in input order whose
+// member counts sum to n, hook indices into the full params slice, one
+// reported compaction per stopped member, and per-member traces bitwise
+// equal to the scalar Kernel — also on a scratch last used for a wider run.
+func TestRunLanesDriver(t *testing.T) {
+	consts := DefaultConstants()
+	paramIdx := ParamIndex(consts)
+	pair := segTestSystems(t, paramIdx)[0]
+	seg, err := NewSegSystem(pair[0], pair[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(19))
+	forcing := randForcing(rng, 40)
+	plan := seg.BuildExogPlan(forcing)
+	cfg := SimConfig{SubSteps: 2, Phy0: 1, Zoo0: 0.5}
+
+	var sc SimScratch
+	if drops := seg.RunLanes(plan, nil, cfg, &sc, func(int, int, float64) bool {
+		t.Fatal("hook called for an empty run")
+		return false
+	}, func(int, time.Time, time.Duration) {
+		t.Fatal("launch reported for an empty run")
+	}); drops != 0 {
+		t.Fatalf("empty run reported %d compactions", drops)
+	}
+
+	// Widest first, so every later run reuses a scratch sized and filled by
+	// a wider one.
+	for _, n := range []int{3*expr.Lanes + 5, 17, 9, 8, 1} {
+		params := make([][]float64, n)
+		stopAt := make([]int, n)
+		for m := range params {
+			params[m] = randBoxParams(rng, consts)
+			stopAt[m] = -1
+			if m%3 == 1 {
+				stopAt[m] = rng.Intn(len(forcing))
+			}
+		}
+		want := make([]stepTrace, n)
+		var ssc SimScratch
+		for m := range params {
+			seg.Prologue(params[m], &ssc)
+			seg.Kernel(plan, cfg, &ssc, want[m].hook(stopAt[m]))
+		}
+
+		got := make([]stepTrace, n)
+		var launches []int
+		drops := seg.RunLanes(plan, params, cfg, &sc, func(m, day int, bphy float64) bool {
+			if m < 0 || m >= n {
+				t.Fatalf("n=%d: hook member %d outside the params slice", n, m)
+			}
+			return got[m].hook(stopAt[m])(day, bphy)
+		}, func(members int, start time.Time, dur time.Duration) {
+			if start.IsZero() || dur < 0 {
+				t.Fatalf("n=%d: launch reported start %v, duration %v", n, start, dur)
+			}
+			launches = append(launches, members)
+		})
+
+		if wantLaunches := (n + expr.Lanes - 1) / expr.Lanes; len(launches) != wantLaunches {
+			t.Fatalf("n=%d: %d launches, want %d", n, len(launches), wantLaunches)
+		}
+		sum := 0
+		for i, members := range launches {
+			if wantM := min(expr.Lanes, n-i*expr.Lanes); members != wantM {
+				t.Fatalf("n=%d: launch %d carried %d members, want %d", n, i, members, wantM)
+			}
+			sum += members
+		}
+		if sum != n {
+			t.Fatalf("n=%d: launches carried %d members in total", n, sum)
+		}
+		stopped := 0
+		for m := range params {
+			if !sameTrace(&want[m], &got[m]) {
+				t.Fatalf("n=%d member %d: lane trace diverges from scalar\nscalar days %v\nlane   days %v",
+					n, m, want[m].ts, got[m].ts)
+			}
+			last := math.Float64frombits(want[m].vals[len(want[m].vals)-1])
+			if stopAt[m] >= 0 || len(want[m].ts) < len(forcing) || math.IsNaN(last) || math.IsInf(last, 0) {
+				stopped++
+			}
+		}
+		if drops != stopped {
+			t.Fatalf("n=%d: RunLanes reported %d compactions, want %d stopped members", n, drops, stopped)
+		}
 	}
 }

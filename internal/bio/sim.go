@@ -97,18 +97,10 @@ type SimScratch struct {
 
 	// Lane-batched path (see lanes.go): the lane-major register file and
 	// state vector, plus the per-lane parameter-vector table reused by
-	// PrologueLanes so steady-state lane batches allocate nothing.
+	// the lane prologue so steady-state lane runs allocate nothing.
 	regsLanes  []float64
 	varsLanes  []float64
 	paramLanes [expr.Lanes][]float64
-
-	// LaneDrops counts lane compactions performed by KernelLanes: members
-	// swapped out mid-launch because they aborted (non-finite state) or
-	// were stopped by their hook (short circuit). It accumulates across
-	// launches that reuse this scratch; callers snapshot before/after a
-	// launch to attribute drops. A plain int — a SimScratch is owned by
-	// one goroutine at a time.
-	LaneDrops int
 }
 
 func growBuf(b []float64, n int) []float64 {

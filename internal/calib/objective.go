@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"gmr/internal/bio"
-	"gmr/internal/expr"
 	"gmr/internal/metrics"
 )
 
@@ -39,10 +38,10 @@ func RiverObjectives(forcing [][]float64, obs []float64, sim bio.SimConfig) (Obj
 // structure — training RMSE of sys under the candidate parameter vector —
 // in both forms. The exogenous plan is hoisted once over the training
 // window and shared. Scalar runs the segmented kernel (one Prologue+Kernel
-// per vector); Batch scores a whole population through bio.KernelLanes,
-// every STEP instruction dispatched once per expr.Lanes parameter vectors
-// instead of once per vector (DESIGN.md §11). The two agree bitwise (the
-// lane kernel reproduces the scalar kernel bit for bit, and aborted members
+// per vector); Batch scores a whole population on the lane driver
+// (bio.SegSystem.RunLanes), every STEP instruction dispatched once per
+// expr.Lanes parameter vectors instead of once per vector (DESIGN.md §11).
+// The two agree bitwise (the lane kernel reproduces the scalar kernel bit for bit, and aborted members
 // yield the same truncated NaN-terminated prediction series). Posterior
 // sampling around a revised champion uses the batch form (gmr
 // -export-model -posterior N): the structure is the GP winner's, only its
@@ -56,32 +55,27 @@ func StructureObjectives(sys *bio.SegSystem, forcing [][]float64, obs []float64,
 		return metrics.RMSE(sys.Kernel(plan, sim, &sc, nil), obs)
 	}
 	var lsc bio.SimScratch
-	var preds [expr.Lanes][]float64
+	var preds [][]float64
 	batch := func(params [][]float64, out []float64) []float64 {
-		for base := 0; base < len(params); base += expr.Lanes {
-			end := base + expr.Lanes
-			if end > len(params) {
-				end = len(params)
+		for len(preds) < len(params) {
+			preds = append(preds, nil)
+		}
+		for i := range params {
+			preds[i] = preds[i][:0]
+		}
+		sys.RunLanes(plan, params, sim, &lsc, func(m, t int, bphy float64) bool {
+			// The scalar kernel records NaN for the day a member's state
+			// goes non-finite and stops; mirror that here so RMSE sees the
+			// same truncated series.
+			if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
+				preds[m] = append(preds[m], math.NaN())
+				return false
 			}
-			chunk := params[base:end]
-			for i := range chunk {
-				preds[i] = preds[i][:0]
-			}
-			sys.PrologueLanes(chunk, &lsc)
-			sys.KernelLanes(plan, sim, &lsc, len(chunk), func(m, t int, bphy float64) bool {
-				// The scalar kernel records NaN for the day a member's
-				// state goes non-finite and stops; mirror that here so
-				// RMSE sees the same truncated series.
-				if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
-					preds[m] = append(preds[m], math.NaN())
-					return false
-				}
-				preds[m] = append(preds[m], bphy)
-				return true
-			})
-			for i := range chunk {
-				out = append(out, metrics.RMSE(preds[i], obs))
-			}
+			preds[m] = append(preds[m], bphy)
+			return true
+		}, nil)
+		for i := range params {
+			out = append(out, metrics.RMSE(preds[i], obs))
 		}
 		return out
 	}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"gmr/internal/bio"
 	"gmr/internal/expr"
@@ -59,51 +58,33 @@ func (r *RunResult) MeanLaneFill() float64 {
 	return float64(r.Members) / float64(r.Batches*expr.Lanes)
 }
 
-// BatchFunc observes one kernel launch: the number of members in the
-// chunk and the launch's wall time. Used by serve to feed its kernel
-// latency histogram; nil disables.
-type BatchFunc func(members int, dur time.Duration)
-
-// Run simulates every member through sys over the plan's window, lane-
-// batched in chunks of expr.Lanes in input order. days must match the
-// plan's day count; sc is the reusable kernel scratch (pass a fresh one
-// for concurrent runs). The result is bitwise deterministic for fixed
-// (sys, plan, sim, members).
-func Run(sys *bio.SegSystem, plan *bio.ExogPlan, sim bio.SimConfig, members [][]float64, days int, sc *bio.SimScratch, onBatch BatchFunc) *RunResult {
+// Run simulates every member through sys over the plan's window on the
+// lane driver (bio.SegSystem.RunLanes), expr.Lanes members per launch in
+// input order. days must match the plan's day count; sc is the reusable
+// kernel scratch (pass a fresh one for concurrent runs); onLaunch, when
+// non-nil, observes each kernel launch. The result is bitwise
+// deterministic for fixed (sys, plan, sim, members).
+func Run(sys *bio.SegSystem, plan *bio.ExogPlan, sim bio.SimConfig, members [][]float64, days int, sc *bio.SimScratch, onLaunch bio.LaunchFunc) *RunResult {
 	res := &RunResult{
 		Preds:   make([][]float64, len(members)),
 		Members: len(members),
+		Batches: (len(members) + expr.Lanes - 1) / expr.Lanes,
 	}
 	for i := range res.Preds {
 		res.Preds[i] = make([]float64, 0, days)
 	}
-	for base := 0; base < len(members); base += expr.Lanes {
-		end := base + expr.Lanes
-		if end > len(members) {
-			end = len(members)
-		}
-		chunk := members[base:end]
-		t0 := time.Now()
-		sys.PrologueLanes(chunk, sc)
-		off := base
-		sys.KernelLanes(plan, sim, sc, len(chunk), func(m, t int, bphy float64) bool {
-			m += off
-			if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
-				reason := "inf"
-				if math.IsNaN(bphy) {
-					reason = "nan"
-				}
-				res.Faults = append(res.Faults, MemberFault{Member: m, Reason: reason, Day: t})
-				return false
+	sys.RunLanes(plan, members, sim, sc, func(m, t int, bphy float64) bool {
+		if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
+			reason := "inf"
+			if math.IsNaN(bphy) {
+				reason = "nan"
 			}
-			res.Preds[m] = append(res.Preds[m], bphy)
-			return true
-		})
-		res.Batches++
-		if onBatch != nil {
-			onBatch(len(chunk), time.Since(t0))
+			res.Faults = append(res.Faults, MemberFault{Member: m, Reason: reason, Day: t})
+			return false
 		}
-	}
+		res.Preds[m] = append(res.Preds[m], bphy)
+		return true
+	}, onLaunch)
 	// Lane compaction interleaves fault callbacks across members within a
 	// chunk; report them in member order so the result is order-canonical.
 	sort.Slice(res.Faults, func(i, j int) bool { return res.Faults[i].Member < res.Faults[j].Member })

@@ -112,17 +112,17 @@ type Options struct {
 	// of reproducible experiments.
 	EvalDeadline time.Duration
 	// ProfileLabels enables per-phase pprof labels (eval_phase =
-	// exog-plan / prologue / step-kernel) on the evaluation hot path, the
-	// same toggle as Evaluator.SetProfileLabels. Enable only for
-	// profiling runs: each labeled region allocates a pprof label set,
-	// which forfeits the zero-allocation contract of the steady-state
+	// exog-plan / prologue / step-kernel) on the evaluation hot path; a
+	// lane run is one step-kernel region (its prologues included). Enable
+	// only for profiling runs: each labeled region allocates a pprof label
+	// set, which forfeits the zero-allocation contract of the steady-state
 	// paths (riverbench flips this on together with -cpuprofile/-pprof).
 	ProfileLabels bool
 	// Tracer records evaluation-phase spans (evalx.exog_plan,
-	// evalx.prologue, evalx.step_kernel) at the same seams as the pprof
-	// labels. A nil tracer is the zero-cost disabled path (no clock
-	// reads, no allocations); an enabled tracer samples and ring-buffers
-	// spans (see internal/obs).
+	// evalx.simulate, and one evalx.lane_batch per lane launch) at the
+	// same seams as the pprof labels. A nil tracer is the zero-cost
+	// disabled path (no clock reads, no allocations); an enabled tracer
+	// samples and ring-buffers spans (see internal/obs).
 	Tracer *obs.Tracer
 }
 
@@ -210,12 +210,12 @@ type Stats struct {
 	BatchMembers   int // parameter vectors evaluated through the batch API
 
 	// Lane-batched kernel counters (DESIGN.md §11): one lane batch is one
-	// KernelLanes launch scoring up to expr.Lanes members per instruction
+	// lane-kernel launch scoring up to expr.Lanes members per instruction
 	// dispatch. LanesFilled sums the live lanes across launches, so
 	// LanesFilled/LaneBatches is the average fill; LaneShortCircuits counts
 	// Algorithm 1 early stops decided inside lane batches (a subset of
 	// ShortCircuits).
-	LaneBatches       int // KernelLanes launches
+	LaneBatches       int // lane-kernel launches
 	LanesFilled       int // members carried by those launches (Σ chunk sizes)
 	LaneShortCircuits int // short circuits decided on the lane path
 	LaneCompactions   int // lanes compacted away mid-launch (aborts + early stops)
@@ -229,7 +229,7 @@ type Stats struct {
 	// buckets cluster sizes at powers of two (1, 2, ≤4, ≤8, ..., >64).
 	PopClusters        int                 // multi-member clusters scheduled
 	PopScalarFallbacks int                 // singleton clusters (scalar path)
-	PopLaneBatches     int                 // KernelLanes launches from EvaluateCluster
+	PopLaneBatches     int                 // lane-kernel launches from EvaluateCluster
 	PopLanesFilled     int                 // members carried by those launches
 	PopClusterSizeHist [PopHistBuckets]int // cluster sizes, power-of-two buckets
 
@@ -404,11 +404,8 @@ type Evaluator struct {
 	shards [cacheShards]cacheShard
 	ctr    counters
 
-	// profLabels enables per-phase pprof labels (eval_phase = exog-plan /
-	// prologue / step-kernel) so CPU profiles attribute time to the
-	// segments of the register VM. Off by default: pprof.Do allocates a
-	// label set per call, which would break the zero-allocation contract
-	// of the steady-state paths.
+	// profLabels is Options.ProfileLabels: per-phase pprof labels so CPU
+	// profiles attribute time to the segments of the register VM.
 	profLabels bool
 
 	// tracer records evaluation-phase spans at the pprof-label seams; a
@@ -451,9 +448,11 @@ type dupPair struct {
 	dst, src *gp.Individual
 }
 
-// laneMember is the per-member accumulator of one lane-batched evaluation:
-// the same running state the scalar simulate keeps in closure locals, held
-// per lane so one hook can drive all members of a KernelLanes launch.
+// laneMember is the running score of one simulating evaluation. Scalar
+// simulate keeps one on its stack; the lane scorer keeps one per pending
+// member, so one hook drives every member of a lane run. Its observe and
+// finish methods are the evaluator's only per-day accounting and final
+// classification.
 type laneMember struct {
 	idx    int // index into the caller's out (or inds) slice
 	params []float64
@@ -466,10 +465,117 @@ type laneMember struct {
 
 	// Cluster-path bookkeeping (EvaluateCluster): the member's tier-2 key
 	// within evalScratch.ckeys and its fault/shard site hash, kept so the
-	// finalize loop can insert the simulated fitness into the tier-2 cache
-	// exactly like the scalar path. Unused by EvaluateParamBatch.
+	// commit can insert the simulated fitness into the tier-2 cache exactly
+	// like the scalar path. Unused by EvaluateParamBatch.
 	keyOff, keyLen int
 	site           uint64
+}
+
+// scoreRef is the Algorithm 1 context every member of one evaluation call
+// scores against: the batch-frozen reference (+Inf when short-circuiting is
+// off), the threshold, and the MinFrac guard.
+type scoreRef struct {
+	e         *Evaluator
+	best      float64
+	threshold float64
+	minSteps  int
+}
+
+func (e *Evaluator) frozenRef() scoreRef {
+	best := math.Inf(1)
+	if e.opts.UseShortCircuit {
+		best = math.Float64frombits(e.frozenBits.Load())
+	}
+	return scoreRef{e: e, best: best, threshold: e.opts.Threshold, minSteps: int(e.opts.MinFrac * float64(len(e.obs)))}
+}
+
+// member starts the score of one evaluation that simulates at fault site
+// hash site: when the NaN fault class fires there, one simulation step
+// (chosen from the hash) is poisoned with NaN, exercising the numeric
+// quarantine end to end.
+func (e *Evaluator) member(idx int, params []float64, site uint64) laneMember {
+	poison := -1
+	if n := len(e.obs); n > 0 && e.opts.Faults.Hit(faultinject.NaN, site) {
+		poison = int(site % uint64(n))
+	}
+	return laneMember{idx: idx, params: params, poison: poison, site: site}
+}
+
+// observe folds the simulated biomass of fitness case t into the running
+// score and reports whether the simulation should go on: NaN poison, the
+// NaN/Inf abort, the squared error, the deadline poll (done is nil without
+// an EvalDeadline), then — once MinFrac of the cases are in — Algorithm 1's
+// extrapolated short circuit against the batch-frozen reference.
+func (m *laneMember) observe(r *scoreRef, t int, bphy float64, done <-chan struct{}) bool {
+	if t == m.poison {
+		bphy = math.NaN()
+	}
+	if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
+		m.sse = math.Inf(1)
+		m.steps = t + 1
+		m.reason = ReasonInf
+		if math.IsNaN(bphy) {
+			m.reason = ReasonNaN
+		}
+		return false
+	}
+	d := bphy - r.e.obs[t]
+	m.sse += d * d
+	m.steps = t + 1
+	if done != nil && (t+1)&31 == 0 {
+		select {
+		case <-done:
+			m.sse = math.Inf(1)
+			m.reason = ReasonDeadline
+			return false
+		default:
+		}
+	}
+	if math.IsInf(r.best, 1) || t+1 < r.minSteps {
+		return true
+	}
+	fitness := math.Sqrt(m.sse / float64(t+1))
+	if fitness > r.best*r.threshold {
+		if est := r.e.opts.Extrap(fitness, t, len(r.e.obs)); est > r.best {
+			m.short, m.scd = est, true
+			return false // short circuit
+		}
+	}
+	return true
+}
+
+// finish classifies the finished simulation — the extrapolated surrogate of
+// a short circuit, a +Inf quarantine, or the full RMSE — and commits it to
+// the work and quarantine counters and the pending short-circuit
+// reference. Non-finite state or an early abort is a full evaluation of an
+// invalid model; unlabeled aborts (the simulator stopped before the hook
+// could see the bad value) are classified as NaN quarantines.
+func (m *laneMember) finish(e *Evaluator) (fitness float64, full bool) {
+	n := len(e.obs)
+	switch {
+	case m.scd:
+		fitness, full = m.short, false
+	case math.IsInf(m.sse, 1) || m.steps == 0 || m.steps < n:
+		if m.reason == ReasonOK && (math.IsInf(m.sse, 1) || m.steps > 0) {
+			m.reason = ReasonNaN
+		}
+		fitness, full = math.Inf(1), true
+	default:
+		fitness, full = math.Sqrt(m.sse/float64(n)), true
+	}
+	e.ctr.quarantineCount(m.reason)
+	e.ctr.stepsEvaluated.Add(int64(m.steps))
+	if !full {
+		e.ctr.shortCircuits.Add(1)
+		return fitness, full
+	}
+	e.ctr.fullEvals.Add(1)
+	e.batchMu.Lock()
+	if fitness < e.pendingBest {
+		e.pendingBest = fitness
+	}
+	e.batchMu.Unlock()
+	return fitness, full
 }
 
 // cacheEntry is a tier-2 record: the memoized fitness of one
@@ -569,12 +675,6 @@ func (e *Evaluator) EndBatch() {
 	e.frozenBits.Store(math.Float64bits(e.bestPrevFull))
 	e.batchMu.Unlock()
 }
-
-// SetProfileLabels toggles per-phase pprof labels on the evaluation hot
-// path (see Evaluator.profLabels). Enable it only for profiling runs: the
-// labels allocate per evaluation. Call before evaluations start, not
-// concurrently with them.
-func (e *Evaluator) SetProfileLabels(on bool) { e.profLabels = on }
 
 // Stats returns a snapshot of the work counters.
 func (e *Evaluator) Stats() Stats { return e.ctr.snapshot() }
@@ -718,8 +818,6 @@ func (e *Evaluator) Evaluate(ind *gp.Individual) {
 	defer e.scratch.Put(sc)
 
 	if !e.opts.UseCache {
-		e.ctr.evaluations.Add(1)
-		e.ctr.stepsPossible.Add(int64(len(e.obs)))
 		fitness, full := e.evalUncached(ind, ind.Params, sc)
 		ind.Fitness, ind.Evaluated, ind.FullEval = fitness, true, full
 		return
@@ -737,8 +835,7 @@ func (e *Evaluator) Evaluate(ind *gp.Individual) {
 // derive, bind, or compile, with the same counter trail as a scalar
 // evaluation of it (evaluation counted, no fault injection, no simulation).
 func (e *Evaluator) markBadStructure(ind *gp.Individual) {
-	e.ctr.evaluations.Add(1)
-	e.ctr.stepsPossible.Add(int64(len(e.obs)))
+	e.countEval()
 	e.ctr.quarantineCount(ReasonBadStructure)
 	ind.Fitness, ind.Evaluated, ind.FullEval = math.Inf(1), true, true
 }
@@ -749,50 +846,73 @@ func (e *Evaluator) markBadStructure(ind *gp.Individual) {
 // via structFor) and EvaluateCluster's scalar path (whose members were
 // resolved up front by ResolveStruct).
 func (e *Evaluator) evaluateResolved(ind *gp.Individual, ent *structEntry, key string, sc *evalScratch) {
-	e.ctr.evaluations.Add(1)
-	e.ctr.stepsPossible.Add(int64(len(e.obs)))
+	e.countEval()
 
 	// Tier 2: (structure, params) → fitness. The key is rendered into
 	// per-goroutine scratch; map lookups with string(kb) do not
 	// allocate, only a first-time insert materializes the string.
 	kb := appendFitKey(sc.key[:0], key, ind.Params)
 	sc.key = kb
-	site := hashBytes(kb)
-	// Fault injection happens before the tier-2 lookup so the decision
-	// is a pure function of the evaluation input, independent of cache
-	// warmth (a cache hit for a NaN-poisoned key returns the same +Inf
-	// the poisoned simulation produced). Nil injector: two nil checks.
-	e.injectPre(site)
-	sh := &e.shards[site&(cacheShards-1)]
-	sh.mu.Lock()
-	if hit, ok := sh.fits[string(kb)]; ok {
-		sh.mu.Unlock()
-		e.ctr.cacheHits.Add(1)
+	site, hit, ok := e.probeFit(kb, nil)
+	if ok {
 		ind.Fitness, ind.Evaluated, ind.FullEval = hit.fitness, true, hit.full
 		return
 	}
-	sh.mu.Unlock()
-
-	fitness, full, steps, reason := e.simulate(ent, ind.Params, sc, site)
-	e.ctr.quarantineCount(reason)
-	e.recordResult(fitness, full, steps)
-
+	fitness, full, reason := e.simulate(ent, ind.Params, sc, site)
 	// Deadline aborts depend on wall-clock time; caching one would make
 	// a transient stall permanent for that (structure, params) pair.
 	if reason != ReasonDeadline {
-		sh.mu.Lock()
-		if _, ok := sh.fits[string(kb)]; !ok {
-			sh.fits[string(kb)] = cacheEntry{fitness, full}
-		}
-		sh.mu.Unlock()
+		e.insertFit(kb, site, fitness, full)
 	}
 	ind.Fitness, ind.Evaluated, ind.FullEval = fitness, true, full
 }
 
+// probeFit is the tier-2 lookup and fault-injection prelude of one cached
+// evaluation whose (structure, params) key is kb: it derives the site hash,
+// applies the pre-evaluation faults there (injectPre), and consults tier 2.
+// Fault injection comes before the lookup so the decision is a pure
+// function of the evaluation input, independent of cache warmth (a cache
+// hit for a NaN-poisoned key returns the same +Inf the poisoned simulation
+// produced). The rendered key is never materialized: map lookups with
+// string(kb) do not allocate.
+func (e *Evaluator) probeFit(kb []byte, deferred *any) (site uint64, hit cacheEntry, ok bool) {
+	site = hashBytes(kb)
+	if e.injectPre(site, deferred); deferred != nil && *deferred != nil {
+		return site, cacheEntry{}, false
+	}
+	sh := &e.shards[site&(cacheShards-1)]
+	sh.mu.Lock()
+	hit, ok = sh.fits[string(kb)]
+	sh.mu.Unlock()
+	if ok {
+		e.ctr.cacheHits.Add(1)
+	}
+	return site, hit, ok
+}
+
+// insertFit memoizes a simulated fitness in tier 2 under key kb (site is
+// its hash); a racing insert keeps the first entry. Only a first-time
+// insert materializes the key string.
+func (e *Evaluator) insertFit(kb []byte, site uint64, fitness float64, full bool) {
+	sh := &e.shards[site&(cacheShards-1)]
+	sh.mu.Lock()
+	if _, ok := sh.fits[string(kb)]; !ok {
+		sh.fits[string(kb)] = cacheEntry{fitness, full}
+	}
+	sh.mu.Unlock()
+}
+
+// countEval counts one evaluation and the fitness cases a full one costs.
+func (e *Evaluator) countEval() {
+	e.ctr.evaluations.Add(1)
+	e.ctr.stepsPossible.Add(int64(len(e.obs)))
+}
+
 // evalUncached is the cache-free pipeline (the Fig 10 ablation baseline):
-// derive, bind, build, and simulate on every call, scoring ind's structure
-// under an explicit parameter vector.
+// count, derive, bind, build, and simulate on every call, scoring ind's
+// structure under an explicit parameter vector.
 func (e *Evaluator) evalUncached(ind *gp.Individual, params []float64, sc *evalScratch) (float64, bool) {
+	e.countEval()
 	phy, zoo, err := e.deriveSplitSimplify(ind)
 	if err != nil {
 		e.ctr.quarantineCount(ReasonBadStructure)
@@ -806,10 +926,8 @@ func (e *Evaluator) evalUncached(ind *gp.Individual, params []float64, sc *evalS
 	// Without a cache key, the injection site hash derives from the
 	// parameter vector (bit patterns), seeded by a fixed base.
 	site := faultinject.HashFloats(uncachedSiteBase, params)
-	e.injectPre(site)
-	fitness, full, steps, reason := e.simulate(ent, params, sc, site)
-	e.ctr.quarantineCount(reason)
-	e.recordResult(fitness, full, steps)
+	e.injectPre(site, nil)
+	fitness, full, _ := e.simulate(ent, params, sc, site)
 	return fitness, full
 }
 
@@ -840,8 +958,6 @@ func (e *Evaluator) EvaluateParamBatch(ind *gp.Individual, paramSets [][]float64
 		// member, exactly like sequential Evaluate calls, so the Fig 10
 		// derive/compile counters keep their meaning.
 		for _, ps := range paramSets {
-			e.ctr.evaluations.Add(1)
-			e.ctr.stepsPossible.Add(int64(len(e.obs)))
 			fitness, full := e.evalUncached(ind, ps, sc)
 			out = append(out, gp.BatchResult{Fitness: fitness, Full: full})
 		}
@@ -855,15 +971,13 @@ func (e *Evaluator) EvaluateParamBatch(ind *gp.Individual, paramSets [][]float64
 		// stays comparable with sequential evaluation.
 		e.ctr.tier1Hits.Add(int64(len(paramSets) - 1))
 	}
-	if ent != nil && !ent.bad && ent.seg != nil && e.opts.EvalDeadline == 0 {
-		// Lane-batched fast path (DESIGN.md §11): score up to expr.Lanes
-		// members per STEP-instruction dispatch. Deadline evaluations stay
-		// on the scalar path — their wall-clock polls are per-member.
-		return e.evalParamBatchLanes(ent, key, paramSets, out, sc)
-	}
+	// Lane-batched fast path (DESIGN.md §11): tier-2 misses are deferred to
+	// the lane scorer. Deadline evaluations stay on the scalar path — their
+	// wall-clock polls are per-member.
+	lanes := ent != nil && !ent.bad && ent.seg != nil && e.opts.EvalDeadline == 0
+	pending := sc.lane[:0]
 	for _, ps := range paramSets {
-		e.ctr.evaluations.Add(1)
-		e.ctr.stepsPossible.Add(int64(len(e.obs)))
+		e.countEval()
 		if ent == nil || ent.bad {
 			e.ctr.quarantineCount(ReasonBadStructure)
 			out = append(out, gp.BatchResult{Fitness: math.Inf(1), Full: true})
@@ -871,164 +985,81 @@ func (e *Evaluator) EvaluateParamBatch(ind *gp.Individual, paramSets [][]float64
 		}
 		kb := appendFitKey(sc.key[:0], key, ps)
 		sc.key = kb
-		site := hashBytes(kb)
-		e.injectPre(site)
-		sh := &e.shards[site&(cacheShards-1)]
-		sh.mu.Lock()
-		if hit, ok := sh.fits[string(kb)]; ok {
-			sh.mu.Unlock()
-			e.ctr.cacheHits.Add(1)
+		site, hit, ok := e.probeFit(kb, nil)
+		switch {
+		case ok:
 			out = append(out, gp.BatchResult{Fitness: hit.fitness, Full: hit.full})
-			continue
+		case lanes:
+			// The plan lookup is counted per simulated member, exactly
+			// like the scalar path's planFor call inside simulate.
+			e.planFor(ent)
+			pending = append(pending, e.member(len(out), ps, site))
+			out = append(out, gp.BatchResult{})
+		default:
+			fitness, full, _ := e.simulate(ent, ps, sc, site)
+			out = append(out, gp.BatchResult{Fitness: fitness, Full: full})
 		}
-		sh.mu.Unlock()
-		fitness, full, steps, reason := e.simulate(ent, ps, sc, site)
-		e.ctr.quarantineCount(reason)
-		e.recordResult(fitness, full, steps)
-		out = append(out, gp.BatchResult{Fitness: fitness, Full: full})
 	}
+	sc.lane = pending
+	e.scoreLanes(ent, pending, sc, false, func(lm *laneMember, fitness float64, full bool) {
+		out[lm.idx] = gp.BatchResult{Fitness: fitness, Full: full}
+	})
 	return out
 }
 
-// evalParamBatchLanes is the lane-batched body of EvaluateParamBatch: the
-// members that miss the tier-2 cache integrate through bio.KernelLanes in
-// expr.Lanes-wide chunks, one instruction dispatch scoring the whole chunk.
-// Per-member semantics are exactly the scalar simulate's — the same fault
-// sites and NaN poisons, the same Algorithm 1 short-circuit decisions
-// against the batch-frozen reference, the same quarantine classification —
-// because the per-member hook state (laneMember) mirrors the scalar
-// closure's locals and the lane kernel delivers bitwise-identical per-day
-// values. A member whose evaluation short-circuits or aborts drops out of
-// its chunk mid-flight (lane compaction), so UseShortCircuit saves real
-// work inside batches instead of only truncating one member's loop.
-func (e *Evaluator) evalParamBatchLanes(ent *structEntry, key string, paramSets [][]float64, out []gp.BatchResult, sc *evalScratch) []gp.BatchResult {
-	n := len(e.obs)
-	base := len(out)
-	pending := sc.lane[:0]
-	for i, ps := range paramSets {
-		e.ctr.evaluations.Add(1)
-		e.ctr.stepsPossible.Add(int64(n))
-		out = append(out, gp.BatchResult{})
-		kb := appendFitKey(sc.key[:0], key, ps)
-		sc.key = kb
-		site := hashBytes(kb)
-		e.injectPre(site)
-		sh := &e.shards[site&(cacheShards-1)]
-		sh.mu.Lock()
-		if hit, ok := sh.fits[string(kb)]; ok {
-			sh.mu.Unlock()
-			e.ctr.cacheHits.Add(1)
-			out[base+i] = gp.BatchResult{Fitness: hit.fitness, Full: hit.full}
-			continue
-		}
-		sh.mu.Unlock()
-		// Cache miss: this member simulates. The plan lookup is counted
-		// per simulated member, exactly like the scalar path's planFor
-		// call inside simulate.
-		e.planFor(ent)
-		poison := -1
-		if n > 0 && e.opts.Faults.Hit(faultinject.NaN, site) {
-			poison = int(site % uint64(n))
-		}
-		pending = append(pending, laneMember{idx: base + i, params: ps, poison: poison})
-	}
-	sc.lane = pending
+// scoreLanes is the lane scorer shared by EvaluateParamBatch and
+// EvaluateCluster. The pending members — the callers' tier-2 misses, in
+// input order — integrate on the lane driver (bio.SegSystem.RunLanes), each
+// lane's hook running the member's observe, so per-member semantics are
+// exactly scalar simulate's: the same NaN poisons, the same Algorithm 1
+// short-circuit decisions against the batch-frozen reference, the same
+// quarantine classification. A member whose evaluation short-circuits or
+// aborts drops out of its launch mid-flight (lane compaction), so
+// UseShortCircuit saves real work inside batches. Every member is then
+// classified by finish and handed to commit in input order; pop attributes
+// the launches to the population scheduler's counters.
+func (e *Evaluator) scoreLanes(ent *structEntry, pending []laneMember, sc *evalScratch, pop bool, commit func(lm *laneMember, fitness float64, full bool)) {
 	if len(pending) == 0 {
-		return out
+		return
+	}
+	ps := sc.laneParams[:0]
+	for i := range pending {
+		ps = append(ps, pending[i].params)
+	}
+	sc.laneParams = ps
+	launches := int64((len(pending) + expr.Lanes - 1) / expr.Lanes)
+	e.ctr.laneBatches.Add(launches)
+	e.ctr.lanesFilled.Add(int64(len(pending)))
+	if pop {
+		e.ctr.popLaneBatches.Add(launches)
+		e.ctr.popLanesFilled.Add(int64(len(pending)))
 	}
 
-	threshold := e.opts.Threshold
-	best := math.Inf(1)
-	if e.opts.UseShortCircuit {
-		best = math.Float64frombits(e.frozenBits.Load())
+	ref := e.frozenRef()
+	hook := func(m, t int, bphy float64) bool { return pending[m].observe(&ref, t, bphy, nil) }
+	var onLaunch bio.LaunchFunc
+	if e.tracer != nil {
+		onLaunch = func(_ int, start time.Time, d time.Duration) { e.tracer.Observe("evalx.lane_batch", start, d) }
 	}
-	minSteps := int(e.opts.MinFrac * float64(n))
-	var chunk []laneMember
-	hook := func(m, t int, bphy float64) bool {
-		lm := &chunk[m]
-		if t == lm.poison {
-			bphy = math.NaN()
-		}
-		if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
-			lm.sse = math.Inf(1)
-			lm.steps = t + 1
-			if math.IsNaN(bphy) {
-				lm.reason = ReasonNaN
-			} else {
-				lm.reason = ReasonInf
-			}
-			return false
-		}
-		d := bphy - e.obs[t]
-		lm.sse += d * d
-		lm.steps = t + 1
-		if !e.opts.UseShortCircuit || math.IsInf(best, 1) || t+1 < minSteps {
-			return true
-		}
-		fitness := math.Sqrt(lm.sse / float64(t+1))
-		if fitness > best*threshold {
-			est := e.opts.Extrap(fitness, t, n)
-			if est > best {
-				lm.short = est
-				lm.scd = true
-				return false // short circuit: the lane compacts away
-			}
-		}
-		return true
+	// ent.plan was materialized by the callers' per-member planFor.
+	var drops int
+	if e.profLabels {
+		pprof.Do(context.Background(), pprof.Labels("eval_phase", "step-kernel"), func(context.Context) {
+			drops = ent.seg.RunLanes(ent.plan, ps, e.opts.Sim, &sc.sim, hook, onLaunch)
+		})
+	} else {
+		drops = ent.seg.RunLanes(ent.plan, ps, e.opts.Sim, &sc.sim, hook, onLaunch)
 	}
-
-	plan := ent.plan // materialized above via planFor
-	dropsBefore := sc.sim.LaneDrops
-	for start := 0; start < len(pending); start += expr.Lanes {
-		end := start + expr.Lanes
-		if end > len(pending) {
-			end = len(pending)
-		}
-		chunk = pending[start:end]
-		ps := sc.laneParams[:0]
-		for i := range chunk {
-			ps = append(ps, chunk[i].params)
-		}
-		sc.laneParams = ps
-		e.ctr.laneBatches.Add(1)
-		e.ctr.lanesFilled.Add(int64(len(chunk)))
-		span := e.tracer.Start("evalx.lane_batch")
-		if e.profLabels {
-			pprof.Do(context.Background(), pprof.Labels("eval_phase", "prologue"), func(context.Context) {
-				ent.seg.PrologueLanes(ps, &sc.sim)
-			})
-			pprof.Do(context.Background(), pprof.Labels("eval_phase", "step-kernel"), func(context.Context) {
-				ent.seg.KernelLanes(plan, e.opts.Sim, &sc.sim, len(chunk), hook)
-			})
-		} else {
-			ent.seg.PrologueLanes(ps, &sc.sim)
-			ent.seg.KernelLanes(plan, e.opts.Sim, &sc.sim, len(chunk), hook)
-		}
-		span.End()
-	}
-	e.ctr.laneCompacts.Add(int64(sc.sim.LaneDrops - dropsBefore))
+	e.ctr.laneCompacts.Add(int64(drops))
 
 	for i := range pending {
 		lm := &pending[i]
-		var fitness float64
-		var full bool
-		switch {
-		case lm.scd:
-			fitness, full = lm.short, false
+		fitness, full := lm.finish(e)
+		if lm.scd {
 			e.ctr.laneShortCircs.Add(1)
-		case math.IsInf(lm.sse, 1) || lm.steps == 0 || lm.steps < n:
-			if lm.reason == ReasonOK && (math.IsInf(lm.sse, 1) || lm.steps > 0) {
-				lm.reason = ReasonNaN
-			}
-			fitness, full = math.Inf(1), true
-		default:
-			fitness, full = math.Sqrt(lm.sse/float64(n)), true
 		}
-		e.ctr.quarantineCount(lm.reason)
-		e.recordResult(fitness, full, lm.steps)
-		out[lm.idx] = gp.BatchResult{Fitness: fitness, Full: full}
+		commit(lm, fitness, full)
 	}
-	return out
 }
 
 // uncachedSiteBase seeds the injection site hash of the uncached pipeline
@@ -1037,28 +1068,20 @@ const uncachedSiteBase = 0x51_7e_ba_5e_0dd5_ee_d1
 
 // injectPre applies the pre-evaluation fault classes at site hash h: an
 // injected panic (recovered and quarantined by gp.Engine's worker pool) or
-// artificial latency. Nil injector: two nil checks, no allocation.
-func (e *Evaluator) injectPre(h uint64) {
+// artificial latency. The panic is raised unless deferred is non-nil; then
+// it is stored there instead (the ClusterEvaluator panic protocol commits
+// earlier members first) and no latency is injected. Nil injector: two nil
+// checks, no allocation.
+func (e *Evaluator) injectPre(h uint64, deferred *any) {
 	if e.opts.Faults.Hit(faultinject.Panic, h) {
-		panic(faultinject.InjectedPanic{Site: "evalx.Evaluate", Hash: h})
+		p := faultinject.InjectedPanic{Site: "evalx.Evaluate", Hash: h}
+		if deferred == nil {
+			panic(p)
+		}
+		*deferred = p
+		return
 	}
 	e.opts.Faults.Sleep(h)
-}
-
-// recordResult folds one simulation outcome into the counters and the
-// pending short-circuit reference.
-func (e *Evaluator) recordResult(fitness float64, full bool, steps int) {
-	e.ctr.stepsEvaluated.Add(int64(steps))
-	if full {
-		e.ctr.fullEvals.Add(1)
-		e.batchMu.Lock()
-		if fitness < e.pendingBest {
-			e.pendingBest = fitness
-		}
-		e.batchMu.Unlock()
-	} else {
-		e.ctr.shortCircuits.Add(1)
-	}
 }
 
 // structFor resolves the individual's executable structure through the
@@ -1200,26 +1223,16 @@ func appendFitKey(buf []byte, structKey string, params []float64) []byte {
 	return buf
 }
 
-// simulate runs the forward simulation, accumulating the running RMSE and
-// applying Algorithm 1 when short-circuiting is enabled. It returns the
-// fitness (final RMSE, or the extrapolated surrogate when short-circuited),
-// whether the evaluation was full, the number of fitness cases simulated,
-// and the quarantine reason (ReasonOK for a clean simulation).
-//
-// site is the deterministic fault-injection site hash of this evaluation;
-// when the NaN fault class fires, one simulation step (chosen from the
-// hash) is poisoned with NaN, exercising the numeric quarantine end to end.
-func (e *Evaluator) simulate(ent *structEntry, params []float64, sc *evalScratch, site uint64) (float64, bool, int, Reason) {
-	n := len(e.obs)
-	threshold := e.opts.Threshold
-	best := math.Inf(1)
-	if e.opts.UseShortCircuit {
-		best = math.Float64frombits(e.frozenBits.Load())
-	}
-	poisonStep := -1
-	if n > 0 && e.opts.Faults.Hit(faultinject.NaN, site) {
-		poisonStep = int(site % uint64(n))
-	}
+// simulate runs one forward simulation on the scalar kernel, scoring each
+// fitness case through laneMember.observe (the running RMSE and Algorithm
+// 1 when short-circuiting is enabled) and committing the outcome through
+// finish. It returns the fitness (final RMSE, or the extrapolated surrogate
+// when short-circuited), whether the evaluation was full, and the
+// quarantine reason (ReasonOK for a clean simulation). site is the
+// deterministic fault-injection site hash of this evaluation.
+func (e *Evaluator) simulate(ent *structEntry, params []float64, sc *evalScratch, site uint64) (float64, bool, Reason) {
+	m := e.member(0, params, site)
+	ref := e.frozenRef()
 	// The per-evaluation deadline is context-based: a context is created
 	// only when a deadline is configured, and its Done channel is polled
 	// every 32 fitness cases (off the hot path; zero cost when disabled).
@@ -1229,52 +1242,7 @@ func (e *Evaluator) simulate(ent *structEntry, params []float64, sc *evalScratch
 		defer cancel()
 		done = ctx.Done()
 	}
-	var sse float64
-	steps := 0
-	shortFitness := math.NaN()
-	scd := false
-	reason := ReasonOK
-	minSteps := int(e.opts.MinFrac * float64(n))
-	perStep := func(t int, bphy float64) bool {
-		if t == poisonStep {
-			bphy = math.NaN()
-		}
-		if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
-			sse = math.Inf(1)
-			steps = t + 1
-			if math.IsNaN(bphy) {
-				reason = ReasonNaN
-			} else {
-				reason = ReasonInf
-			}
-			return false
-		}
-		d := bphy - e.obs[t]
-		sse += d * d
-		steps = t + 1
-		if done != nil && (t+1)&31 == 0 {
-			select {
-			case <-done:
-				sse = math.Inf(1)
-				reason = ReasonDeadline
-				return false
-			default:
-			}
-		}
-		if !e.opts.UseShortCircuit || math.IsInf(best, 1) || t+1 < minSteps {
-			return true
-		}
-		fitness := math.Sqrt(sse / float64(t+1))
-		if fitness > best*threshold {
-			est := e.opts.Extrap(fitness, t, n)
-			if est > best {
-				shortFitness = est
-				scd = true
-				return false // short circuit
-			}
-		}
-		return true
-	}
+	perStep := func(t int, bphy float64) bool { return m.observe(&ref, t, bphy, done) }
 	switch {
 	case ent.seg != nil:
 		// Segmented path (DESIGN.md §10): exogenous work is served from
@@ -1298,20 +1266,8 @@ func (e *Evaluator) simulate(ent *structEntry, params []float64, sc *evalScratch
 	default:
 		ent.tree.RunBuf(e.forcing, params, e.opts.Sim, &sc.sim, perStep)
 	}
-	if scd {
-		return shortFitness, false, steps, ReasonOK
-	}
-	if math.IsInf(sse, 1) || steps == 0 || steps < n {
-		// Non-finite state or an early abort: a full evaluation of an
-		// invalid model. Classify unlabeled aborts (the simulator
-		// stopped before the per-day hook could see the bad value) as
-		// NaN quarantines.
-		if reason == ReasonOK && (math.IsInf(sse, 1) || steps > 0) {
-			reason = ReasonNaN
-		}
-		return math.Inf(1), true, steps, reason
-	}
-	return math.Sqrt(sse / float64(n)), true, steps, ReasonOK
+	fitness, full := m.finish(e)
+	return fitness, full, m.reason
 }
 
 // PredictIndividual simulates an individual's revised process over an

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -44,6 +45,27 @@ func TestScaleByName(t *testing.T) {
 	}
 	if _, ok := ScaleByName("bogus"); ok {
 		t.Error("bogus scale accepted")
+	}
+}
+
+// TestTableVRejectsUnknownMethods: a misspelled filter must fail before
+// any method runs (a nil dataset would panic in the first one), naming the
+// unknown entries and every valid method.
+func TestTableVRejectsUnknownMethods(t *testing.T) {
+	rows, err := TableV(context.Background(), nil, tinyScale, 1, map[string]bool{"DE-MCzs": true, "NM": true, "GA": true})
+	if err == nil {
+		t.Fatalf("unknown methods accepted (%d rows)", len(rows))
+	}
+	msg := err.Error()
+	for _, want := range append([]string{`"DE-MCzs"`, `"NM"`}, methodNames()...) {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q does not mention %s", msg, want)
+		}
+	}
+	for _, want := range []string{"MANUAL", "QUAL2E", "RNN-S1", "RNN-All", "ARIMAX-S1", "ARIMAX-All", "DE-MCz", "MLE", "GGGP", "GMR"} {
+		if !slices.Contains(methodNames(), want) {
+			t.Errorf("methodNames() lacks %s", want)
+		}
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"strings"
 	"time"
 
 	"gmr/internal/arimax"
@@ -32,12 +35,37 @@ type TableVRow struct {
 	Seconds float64
 }
 
+// methodNames lists every Table V method in the paper's order: the valid
+// keys of TableV's methods filter.
+func methodNames() []string {
+	names := []string{"MANUAL", "QUAL2E", "RNN-S1", "RNN-All", "ARIMAX-S1", "ARIMAX-All"}
+	for _, c := range calib.All() {
+		names = append(names, c.Name())
+	}
+	return append(names, "GGGP", "GMR")
+}
+
 // TableV runs all sixteen methods of the paper's Table V / Figure 1 and
 // returns their rows in the paper's order. methods filters by name when
-// non-empty. Cancelling ctx stops the suite at the next method boundary
-// (and stops GMR at its next generation barrier), returning the rows
-// completed so far alongside ctx's error.
+// non-empty; a name outside methodNames is an error before any method
+// runs. Cancelling ctx stops the suite at the next method boundary (and
+// stops GMR at its next generation barrier), returning the rows completed
+// so far alongside ctx's error.
 func TableV(ctx context.Context, ds *dataset.Dataset, sc Scale, seed int64, methods map[string]bool) ([]TableVRow, error) {
+	if len(methods) > 0 {
+		valid := methodNames()
+		var unknown []string
+		for name := range methods {
+			if !slices.Contains(valid, name) {
+				unknown = append(unknown, fmt.Sprintf("%q", name))
+			}
+		}
+		if len(unknown) > 0 {
+			sort.Strings(unknown)
+			return nil, fmt.Errorf("experiments: unknown Table V method %s (valid: %s)",
+				strings.Join(unknown, ", "), strings.Join(valid, ", "))
+		}
+	}
 	want := func(name string) bool {
 		return ctx.Err() == nil && (len(methods) == 0 || methods[name])
 	}

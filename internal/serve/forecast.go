@@ -11,7 +11,6 @@ import (
 	"gmr/internal/bio"
 	"gmr/internal/dataset"
 	"gmr/internal/ensemble"
-	"gmr/internal/expr"
 	"gmr/internal/serve/api"
 )
 
@@ -311,78 +310,54 @@ func (s *Server) planFor(spec *execSpec) *bio.ExogPlan {
 	})
 }
 
-// execCohort runs one dispatched cohort through the lane kernel: one
-// prologue + one KernelLanes launch scores every member (all members share
-// the model, window, and plan by cohort-key construction; only parameter
-// vectors differ per lane). Per-member results are bitwise identical to a
+// execCohort runs one dispatched cohort on the lane driver: every member
+// shares the model, window, and plan by cohort-key construction, so only
+// the lane dimension differs. A point cohort puts one request's parameter
+// vector in each lane; per-member results are bitwise identical to a
 // single-lane run of the same request — lane arithmetic is elementwise and
 // compaction never perturbs surviving lanes (DESIGN.md §11) — which is
-// what makes the batch window invisible to clients beyond latency.
+// what makes the batch window invisible to clients beyond latency. An
+// ensemble cohort's lanes carry posterior members instead (see
+// execEnsembleCohort).
 func (s *Server) execCohort(members []*pendingReq) {
 	spec := members[0].spec
 	if spec.ens != nil {
 		s.execEnsembleCohort(members)
 		return
 	}
-	n := len(members)
-	plan := s.planFor(spec)
-
-	params := make([][]float64, n)
-	preds := make([][]float64, n)
-	type quar struct {
-		hit    bool
-		reason string
-		died   int
-	}
-	quars := make([]quar, n)
+	params := make([][]float64, len(members))
 	for i, m := range members {
 		params[i] = m.spec.params
-		preds[i] = make([]float64, 0, spec.key.days)
 	}
-	hook := func(m, t int, bphy float64) bool {
-		if math.IsNaN(bphy) || math.IsInf(bphy, 0) {
-			reason := "inf"
-			if math.IsNaN(bphy) {
-				reason = "nan"
-			}
-			quars[m] = quar{hit: true, reason: reason, died: t}
-			return false
-		}
-		preds[m] = append(preds[m], bphy)
-		return true
+	run := s.runLanes(spec, params)
+	res := make([]execResult, len(members))
+	for _, f := range run.Faults {
+		res[f.Member] = execResult{quarantined: true, reason: f.Reason, died: f.Day}
 	}
-
-	sc := s.scratch.Get().(*bio.SimScratch)
-	dropsBefore := sc.LaneDrops
-	for base := 0; base < n; base += expr.Lanes {
-		end := base + expr.Lanes
-		if end > n {
-			end = n
-		}
-		chunk := params[base:end]
-		t0 := time.Now()
-		spec.model.seg.PrologueLanes(chunk, sc)
-		off := base
-		spec.model.seg.KernelLanes(plan, spec.sim, sc, len(chunk), func(m, t int, bphy float64) bool {
-			return hook(off+m, t, bphy)
-		})
-		d := time.Since(t0)
-		s.m.kernel.Observe(d.Seconds())
-		s.tracer.Observe("serve.kernel", t0, d)
-		s.m.laneBatches.Inc()
-		s.m.laneMembers.Add(int64(len(chunk)))
-	}
-	s.m.laneCompactions.Add(int64(sc.LaneDrops - dropsBefore))
-	s.scratch.Put(sc)
-
 	for i, m := range members {
-		m.respond(execResult{
-			preds:       preds[i],
-			quarantined: quars[i].hit,
-			reason:      quars[i].reason,
-			died:        quars[i].died,
-		})
+		res[i].preds = run.Preds[i]
+		m.respond(res[i])
 	}
+}
+
+// runLanes simulates one cohort's lane dimension through ensemble.Run over
+// the cohort's shared plan, feeding the kernel-latency histogram, the
+// serve.kernel span, and the lane counters once per launch.
+func (s *Server) runLanes(spec *execSpec, params [][]float64) *ensemble.RunResult {
+	plan := s.planFor(spec)
+	sc := s.scratch.Get().(*bio.SimScratch)
+	defer s.scratch.Put(sc)
+	run := ensemble.Run(spec.model.seg, plan, spec.sim, params, spec.key.days, sc,
+		func(n int, start time.Time, d time.Duration) {
+			s.m.kernel.Observe(d.Seconds())
+			s.tracer.Observe("serve.kernel", start, d)
+			s.m.laneBatches.Inc()
+			s.m.laneMembers.Add(int64(n))
+		})
+	// Run's hook stops a member only when it diverges, so every lane
+	// compaction is one quarantined member.
+	s.m.laneCompactions.Add(int64(len(run.Faults)))
+	return run
 }
 
 // execEnsembleCohort runs one ensemble cohort: the lane dimension carries
@@ -394,19 +369,7 @@ func (s *Server) execCohort(members []*pendingReq) {
 // carrying the first (lowest-member) fault's reason and day.
 func (s *Server) execEnsembleCohort(members []*pendingReq) {
 	spec := members[0].spec
-	plan := s.planFor(spec)
-
-	sc := s.scratch.Get().(*bio.SimScratch)
-	dropsBefore := sc.LaneDrops
-	run := ensemble.Run(spec.model.seg, plan, spec.sim, spec.ens.members, spec.key.days, sc,
-		func(n int, d time.Duration) {
-			s.m.kernel.Observe(d.Seconds())
-			s.tracer.Observe("serve.kernel", time.Now().Add(-d), d)
-			s.m.laneBatches.Inc()
-			s.m.laneMembers.Add(int64(n))
-		})
-	s.m.laneCompactions.Add(int64(sc.LaneDrops - dropsBefore))
-	s.scratch.Put(sc)
+	run := s.runLanes(spec, spec.ens.members)
 	s.m.ensembleSize.Observe(float64(len(spec.ens.members)))
 	s.m.memberQuarantines.Add(int64(len(run.Faults)))
 
