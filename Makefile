@@ -54,11 +54,13 @@ bench:
 
 # bench-smoke compiles and runs every benchmark exactly once (-benchtime=1x):
 # a fast CI guard that benchmark code still builds and executes, without
-# measuring anything. Includes a short servebench pass (0.2s per load
+# measuring anything. The root package contributes the population
+# evaluator and the Table V calibrator and GGGP benchmarks (one 200-budget
+# calibration each). Includes a short servebench pass (0.2s per load
 # level) so the serving load generator stays green without measuring.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/expr/ ./internal/bio/ ./internal/evalx/ ./internal/obs/
-	$(GO) test -run xxx -bench EvaluatePop -benchtime 1x .
+	$(GO) test -run xxx -bench 'EvaluatePop|TableV_Calib_|TableV_GGGP' -benchtime 1x .
 	$(GO) run ./cmd/riverbench -exp servebench -serve-duration 200ms \
 		-serve-out /tmp/BENCH_SERVE.smoke.json
 	$(GO) run ./cmd/riverbench -exp ensemblebench -serve-duration 200ms \

@@ -3,6 +3,7 @@ package calib
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"gmr/internal/bio"
@@ -133,20 +134,27 @@ func TestScalarBatchAppends(t *testing.T) {
 	}
 }
 
-// TestRiverBatchObjectiveMatchesScalar checks the lane-batched river
-// objective bit for bit against the scalar segmented-kernel objective and
-// against tree interpretation of the manual process, across
-// random in-box vectors and hostile out-of-distribution corners that abort
-// the integration.
-func TestRiverBatchObjectiveMatchesScalar(t *testing.T) {
+// riverFixture is a short river calibration problem: a three-year
+// dataset, its Table III box and the manual process's simulation config.
+func riverFixture(t *testing.T) (forcing [][]float64, obs []float64, sim bio.SimConfig, lo, hi []float64) {
+	t.Helper()
 	ds, err := dataset.Generate(dataset.Config{Seed: 5, StartYear: 2000, EndYear: 2002, TrainEndYear: 2001})
 	if err != nil {
 		t.Fatal(err)
 	}
-	consts := bio.DefaultConstants()
-	lo, hi := Box(consts)
-	sim := bio.SimConfig{SubSteps: 2, Phy0: ds.ObsPhy[0], Zoo0: ds.ObsZoo[0]}
-	objs, err := RiverObjectives(ds.TrainForcing(), ds.TrainObsPhy(), sim)
+	lo, hi = Box(bio.DefaultConstants())
+	sim = bio.SimConfig{SubSteps: 2, Phy0: ds.ObsPhy[0], Zoo0: ds.ObsZoo[0]}
+	return ds.TrainForcing(), ds.TrainObsPhy(), sim, lo, hi
+}
+
+// TestRiverBatchObjectiveMatchesScalar checks the lane-batched river
+// objective bit for bit against the scalar segmented-kernel objective and
+// against tree interpretation of the manual process, across
+// random in-box vectors and the box corners (clamped, not aborted, under
+// the default clamps; TestRiverBatchSplitParity covers aborts).
+func TestRiverBatchObjectiveMatchesScalar(t *testing.T) {
+	forcing, obs, sim, lo, hi := riverFixture(t)
+	objs, err := RiverObjectives(forcing, obs, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +179,7 @@ func TestRiverBatchObjectiveMatchesScalar(t *testing.T) {
 		if math.Float64bits(want) != math.Float64bits(out[i]) {
 			t.Errorf("vector %d: scalar %v, batch %v", i, want, out[i])
 		}
-		if oracle := metrics.RMSE(tree.Predict(ds.TrainForcing(), x, sim), ds.TrainObsPhy()); math.Float64bits(oracle) != math.Float64bits(want) {
+		if oracle := metrics.RMSE(tree.Predict(forcing, x, sim), obs); math.Float64bits(oracle) != math.Float64bits(want) {
 			t.Errorf("vector %d: tree oracle %v, scalar %v", i, oracle, want)
 		}
 	}
@@ -189,14 +197,8 @@ func TestRiverBatchObjectiveMatchesScalar(t *testing.T) {
 // run exactly — the Table V pipeline can switch to batch scoring without
 // changing any reported number.
 func TestRiverBatchCalibrationEndToEnd(t *testing.T) {
-	ds, err := dataset.Generate(dataset.Config{Seed: 5, StartYear: 2000, EndYear: 2002, TrainEndYear: 2001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	consts := bio.DefaultConstants()
-	lo, hi := Box(consts)
-	sim := bio.SimConfig{SubSteps: 2, Phy0: ds.ObsPhy[0], Zoo0: ds.ObsZoo[0]}
-	objs, err := RiverObjectives(ds.TrainForcing(), ds.TrainObsPhy(), sim)
+	forcing, obs, sim, lo, hi := riverFixture(t)
+	objs, err := RiverObjectives(forcing, obs, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,4 +319,97 @@ func bitsEqualVec(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// withGOMAXPROCS runs f with GOMAXPROCS set to procs, restoring it after.
+func withGOMAXPROCS(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// TestRiverBatchSplitParity: the batch objective splits cohorts into
+// lane-aligned worker ranges when built under GOMAXPROCS > 1, and must
+// still score every member bit for bit as Scalar does — at every cohort
+// width around the lane and worker boundaries, with the box corners and a
+// member whose integration aborts (non-finite state once clamping is off)
+// in every lane chunk, and across repeated calls of shrinking and growing
+// widths on one warm objective.
+func TestRiverBatchSplitParity(t *testing.T) {
+	forcing, obs, sim, lo, hi := riverFixture(t)
+	rng := rand.New(rand.NewSource(33))
+	blowUp := cloneVec(hi) // far outside the box: diverges without clamps
+	blowUp[0] *= 1e3
+	cohort := make([][]float64, 25)
+	for i := range cohort {
+		switch {
+		case i%4 == 1:
+			cohort[i] = lo
+		case i%4 == 3:
+			cohort[i] = hi
+		case i%8 == 6:
+			cohort[i] = blowUp
+		default:
+			cohort[i] = uniformBox(rng, lo, hi)
+		}
+	}
+	unclamped := sim
+	unclamped.ClampDisabled = true
+	for _, procs := range []int{1, 2, 3, 8} {
+		for _, sim := range []bio.SimConfig{sim, unclamped} {
+			withGOMAXPROCS(procs, func() {
+				objs, err := RiverObjectives(forcing, obs, sim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float64, len(cohort))
+				for i, x := range cohort {
+					want[i] = objs.Scalar(x)
+				}
+				if sim.ClampDisabled && !math.IsInf(want[6], 1) {
+					t.Fatalf("unclamped blow-up member scored %v, want +Inf from an aborted integration", want[6])
+				}
+				var out []float64
+				for _, width := range []int{0, 1, 7, 8, 9, 16, 17, 22, 24, 25, 9, 0, 25} {
+					out = objs.Batch(cohort[:width], append(out[:0], -1))
+					if len(out) != width+1 || out[0] != -1 {
+						t.Fatalf("GOMAXPROCS %d, width %d: batch returned %d values (prefix %v), want the -1 prefix plus %d",
+							procs, width, len(out), out[:min(len(out), 1)], width)
+					}
+					for i, f := range out[1:] {
+						if math.Float64bits(f) != math.Float64bits(want[i]) {
+							t.Errorf("GOMAXPROCS %d, clamps off %v, width %d, member %d: batch %v, scalar %v",
+								procs, sim.ClampDisabled, width, i, f, want[i])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRiverBatchAllocFree: a warm batch call allocates nothing, on the
+// serial path and on the split path alike — the worker hooks, goroutine
+// bodies and scratch are built once with the objective.
+func TestRiverBatchAllocFree(t *testing.T) {
+	forcing, obs, sim, lo, hi := riverFixture(t)
+	rng := rand.New(rand.NewSource(8))
+	params := make([][]float64, 24)
+	for i := range params {
+		params[i] = uniformBox(rng, lo, hi)
+	}
+	for _, procs := range []int{1, 2} {
+		withGOMAXPROCS(procs, func() {
+			objs, err := RiverObjectives(forcing, obs, sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]float64, 0, len(params))
+			for i := 0; i < 100; i++ { // grow buffers, recycle goroutines
+				out = objs.Batch(params, out[:0])
+			}
+			if a := testing.AllocsPerRun(50, func() { out = objs.Batch(params, out[:0]) }); a != 0 {
+				t.Errorf("GOMAXPROCS %d: warm 24-vector batch call made %v allocations, want 0", procs, a)
+			}
+		})
+	}
 }

@@ -54,8 +54,9 @@ type Config struct {
 	// calibration pass that produces the revision's starting parameter
 	// values (model revision receives "the initial model structure and
 	// parameter values" — in the river-modeling lineage those come from
-	// earlier calibration work). Zero means 3000; negative disables
-	// pre-calibration, starting from the Table III means instead.
+	// earlier calibration work). Zero means DefaultPreCalibrateBudget;
+	// negative disables pre-calibration, starting from the Table III
+	// means instead.
 	PreCalibrateBudget int
 	// Obs, when non-nil, is the unified observability registry: runs
 	// register per-run (or per-island) engine progress gauges and
@@ -123,7 +124,14 @@ type runSetup struct {
 	precal   *calib.Objectives // nil when pre-calibration is disabled
 	lo, hi   []float64
 	budget   int
+	tracer   *obs.Tracer
 }
+
+// DefaultPreCalibrateBudget is the objective-evaluation budget of one
+// pre-calibration pass when Config.PreCalibrateBudget is zero. GGGP's
+// pre-calibration in Table V uses it too, so both revision methods start
+// from equally calibrated parameters.
+const DefaultPreCalibrateBudget = 3000
 
 func prepare(ds *dataset.Dataset, cfg Config) (*runSetup, error) {
 	g, err := grammar.River(cfg.Extensions)
@@ -145,7 +153,7 @@ func prepare(ds *dataset.Dataset, cfg Config) (*runSetup, error) {
 		evalOpts.Tracer = cfg.Tracer
 	}
 
-	s := &runSetup{g: g, gpCfg: gpCfg, evalOpts: evalOpts}
+	s := &runSetup{g: g, gpCfg: gpCfg, evalOpts: evalOpts, tracer: cfg.Tracer}
 	// Pre-calibration of the unrevised process: each run starts from its
 	// own calibrated parameter vector (different calibration seeds find
 	// different basins of the multimodal box, and the runs then explore
@@ -162,7 +170,7 @@ func prepare(ds *dataset.Dataset, cfg Config) (*runSetup, error) {
 	s.lo, s.hi = calib.Box(cfg.Constants)
 	s.budget = cfg.PreCalibrateBudget
 	if s.budget == 0 {
-		s.budget = 3000
+		s.budget = DefaultPreCalibrateBudget
 	}
 	return s, nil
 }
@@ -177,12 +185,15 @@ func (s *runSetup) newEvaluator(ds *dataset.Dataset, cfg Config) *evalx.Evaluato
 }
 
 // calibrate pre-calibrates run (or island) idx's starting parameters and
-// seeds the unrevised baseline individual into its initial population.
-// Alternates calibrators across indices for basin diversity.
+// seeds the unrevised baseline individual into its initial population,
+// inside one core.precalibrate span. Alternates calibrators across indices
+// for basin diversity.
 func (s *runSetup) calibrate(idx int, runCfg gp.Config) gp.Config {
 	if s.precal == nil {
 		return runCfg
 	}
+	span := s.tracer.Start("core.precalibrate")
+	defer span.End()
 	rng := stats.NewRand(runCfg.Seed ^ 0x5ca1ab1e)
 	var c calib.Calibrator = calib.NewGA()
 	if idx%2 == 1 {

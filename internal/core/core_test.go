@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"gmr/internal/evalx"
 	"gmr/internal/gp"
 	"gmr/internal/metrics"
+	"gmr/internal/obs"
 )
 
 // smallDS generates a 4-year dataset once per test binary.
@@ -122,6 +124,53 @@ func TestRunDeterminism(t *testing.T) {
 	}
 	if a.BestPhy.String() != b.BestPhy.String() {
 		t.Error("same seed produced different best models")
+	}
+}
+
+// precalSpans runs cfg under a tracer whose ring holds every span and
+// returns the run's result and its core.precalibrate span count.
+func precalSpans(t *testing.T, ds *dataset.Dataset, cfg Config) (*Result, int) {
+	t.Helper()
+	cfg.Tracer = obs.NewTracer(obs.TracerConfig{Ring: 1 << 16})
+	res, err := RunContext(context.Background(), ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, recorded, _ := cfg.Tracer.Stats(); recorded > 1<<16 {
+		t.Fatalf("%d spans overflowed the ring; the count below would be a sample", recorded)
+	}
+	n := 0
+	for _, sp := range cfg.Tracer.Snapshot() {
+		if sp.Name == "core.precalibrate" {
+			n++
+		}
+	}
+	return res, n
+}
+
+// TestPreCalibrateSpans: a traced pre-calibrating run records exactly one
+// core.precalibrate span per evolutionary run, a run with pre-calibration
+// disabled records none, and tracing does not change the result.
+func TestPreCalibrateSpans(t *testing.T) {
+	ds := smallDS(t)
+	cfg := smallCfg(6)
+	cfg.Runs, cfg.GP.MaxGen, cfg.PreCalibrateBudget = 2, 2, 150
+	traced, n := precalSpans(t, ds, cfg)
+	if n != cfg.Runs {
+		t.Errorf("traced pre-calibrating run recorded %d core.precalibrate spans, want %d", n, cfg.Runs)
+	}
+	untraced, err := RunContext(context.Background(), ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(traced.TrainRMSE) != math.Float64bits(untraced.TrainRMSE) ||
+		traced.BestPhy.String() != untraced.BestPhy.String() {
+		t.Errorf("tracing changed the run: %v %s vs untraced %v %s",
+			traced.TrainRMSE, traced.BestPhy, untraced.TrainRMSE, untraced.BestPhy)
+	}
+	cfg.PreCalibrateBudget = -1
+	if _, n := precalSpans(t, ds, cfg); n != 0 {
+		t.Errorf("run without pre-calibration recorded %d core.precalibrate spans, want 0", n)
 	}
 }
 

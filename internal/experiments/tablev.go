@@ -257,7 +257,7 @@ func runGGGP(ds *dataset.Dataset, sc Scale, seed int64) (TableVRow, error) {
 		if run%2 == 1 {
 			c = calib.NewSA()
 		}
-		initParams, _ := objs.Calibrate(c, lo, hi, 3000, stats.NewRand(runSeed^0x5ca1ab1e))
+		initParams, _ := objs.Calibrate(c, lo, hi, core.DefaultPreCalibrateBudget, stats.NewRand(runSeed^0x5ca1ab1e))
 		ind, err := gggp.Run(gggp.Config{
 			PopSize: popPerRun, MaxGen: sc.GGGPGen, Seed: runSeed, InitParams: initParams,
 		}, fitness)
