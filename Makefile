@@ -66,7 +66,7 @@ bench-smoke:
 	$(GO) run ./cmd/riverbench -exp ensemblebench -serve-duration 200ms \
 		-serve-out /tmp/BENCH_SERVE.smoke.json
 
-# bencheval snapshots evaluator cold / tier-1 / param-batch / tier-2
+# bencheval snapshots evaluator cold / tier-1 / clustered-population / tier-2
 # numbers and cache hit rates into BENCH_EVAL.json (the README performance
 # table's source), once per GOMAXPROCS setting (1 and all CPUs).
 bencheval:

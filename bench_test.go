@@ -262,14 +262,14 @@ func BenchmarkFig10_TC_RC_ES(b *testing.B) { benchFig10(b, true, true, true) }
 
 // ---- DESIGN.md §14: structure-clustered population evaluation ----
 
-// benchEvaluatePop measures one generation-shaped evaluatePop pass over a
-// duplicate-heavy population (8 structures × 8 clones, unique params per
-// member), amortized per individual. The clustered and scalar variants run
-// the identical engine code path; only Config.NoCluster differs.
-// Short-circuiting is off so the row isolates the scheduler + simulation
-// kernel (the Fig11 family covers ES behavior); parameters are jittered
-// multiplicatively so every member misses tier 2 and simulates fully.
-func benchEvaluatePop(b *testing.B, noCluster bool) {
+// BenchmarkEvaluatePopClustered measures one generation-shaped evaluatePop
+// pass over a duplicate-heavy population (8 structures × 8 clones, unique
+// params per member), amortized per individual: the clustered scheduler,
+// the engine's one evaluation path. Short-circuiting is off so the row
+// isolates the scheduler + simulation kernel (the Fig11 family covers ES
+// behavior); parameters are jittered multiplicatively so every member
+// misses tier 2 and simulates fully.
+func BenchmarkEvaluatePopClustered(b *testing.B) {
 	ds := benchData(b)
 	pop := dupHeavyPop(b, 8, 8)
 	g, err := grammar.River(grammar.DefaultExtensions())
@@ -279,7 +279,7 @@ func benchEvaluatePop(b *testing.B, noCluster bool) {
 	opts := evalx.AllSpeedups(benchSim(ds))
 	opts.UseShortCircuit = false
 	ev := evalx.New(ds.TrainForcing(), ds.TrainObsPhy(), bio.DefaultConstants(), opts)
-	eng, err := gp.NewEngine(g, ev, gp.Config{PopSize: len(pop), Seed: 3, NoCluster: noCluster})
+	eng, err := gp.NewEngine(g, ev, gp.Config{PopSize: len(pop), Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -300,9 +300,6 @@ func benchEvaluatePop(b *testing.B, noCluster bool) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pop)), "ns/individual")
 }
-
-func BenchmarkEvaluatePopClustered(b *testing.B) { benchEvaluatePop(b, false) }
-func BenchmarkEvaluatePopScalar(b *testing.B)    { benchEvaluatePop(b, true) }
 
 // ---- Figure 11: ES thresholds ----
 

@@ -68,7 +68,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "seed")
 		subSteps  = flag.Int("substeps", 2, "Euler substeps per day")
 		noES      = flag.Bool("no-es", false, "disable evaluation short-circuiting")
-		noCluster = flag.Bool("nocluster", false, "disable the structure-clustered population scheduler (ablation; bitwise-identical results, scalar speed)")
 		analyze   = flag.Bool("analyze", true, "run the variable-selectivity analysis")
 		savePath  = flag.String("save", "", "write the best revised model (derivation + parameters) to this JSON file")
 		exportTo  = flag.String("export-model", "", "write the best model as a deployable bundle (gmrd serve registry format) to this JSON file")
@@ -129,7 +128,7 @@ func main() {
 	eval.Faults = faults
 	eval.EvalDeadline = *deadline
 	cfg := core.Config{
-		GP:   gp.Config{PopSize: *pop, MaxGen: *gens, LocalSearchSteps: *ls, Seed: *seed, NoCluster: *noCluster},
+		GP:   gp.Config{PopSize: *pop, MaxGen: *gens, LocalSearchSteps: *ls, Seed: *seed},
 		Eval: eval,
 		Runs: *runs,
 		TopK: 50,

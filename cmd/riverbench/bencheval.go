@@ -74,10 +74,10 @@ func (s *benchEvalSnapshot) entries() []benchEvalEntry {
 const benchRegressionLimit = 1.15
 
 // runBenchEval measures the evaluator hot path in the regimes of the
-// two-tier cache (cold, tier-1 hit, tier-2 hit), the segmented parameter
-// batch path, and the simulation inner loops, once per GOMAXPROCS setting
-// (1 and all CPUs), and snapshots ns/op, bytes/op, allocs/op, and cache
-// hit rates into outPath as JSON. The same numbers back the README
+// two-tier cache (cold, tier-1 hit, tier-2 hit), the clustered population
+// path, calibration cohorts, and the simulation inner loops, once per
+// GOMAXPROCS setting (1 and all CPUs), and snapshots ns/op, bytes/op,
+// allocs/op, and cache hit rates into outPath as JSON. The same numbers back the README
 // performance table.
 //
 // When baselinePath is non-empty, the fresh numbers are compared against
@@ -207,58 +207,6 @@ func benchEvalPass(ds *dataset.Dataset) []benchEvalResult {
 		}
 	}))
 
-	// Parameter batch: EvaluateParamBatch over one structure, amortized per
-	// member (b.N counts members, one batch call per 16). This is what a
-	// batched (1+λ) refinement proposal costs.
-	record("evaluate_param_batch", testing.Benchmark(func(b *testing.B) {
-		inds := newInds(1, 13)
-		ev := newEval(true)
-		ev.BeginBatch()
-		defer ev.EndBatch()
-		base := inds[0]
-		const lam = 16
-		paramSets := make([][]float64, lam)
-		for i := range paramSets {
-			paramSets[i] = append([]float64(nil), base.Params...)
-		}
-		out := make([]gp.BatchResult, 0, lam)
-		ev.EvaluateParamBatch(base, paramSets, out) // warm: derive, compile, plan
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += lam {
-			for j := range paramSets {
-				paramSets[j][0] = 0.1 + float64(i+j)*1e-9
-			}
-			ev.EvaluateParamBatch(base, paramSets, out[:0])
-		}
-	}))
-
-	// Lane-width batch: same path as evaluate_param_batch but with exactly
-	// expr.Lanes members per call, so every call is one full-width dispatch
-	// through the lane kernel — the per-candidate floor of the SoA path.
-	record("evaluate_param_batch_lanes", testing.Benchmark(func(b *testing.B) {
-		inds := newInds(1, 13)
-		ev := newEval(true)
-		ev.BeginBatch()
-		defer ev.EndBatch()
-		base := inds[0]
-		lam := expr.Lanes
-		paramSets := make([][]float64, lam)
-		for i := range paramSets {
-			paramSets[i] = append([]float64(nil), base.Params...)
-		}
-		out := make([]gp.BatchResult, 0, lam)
-		ev.EvaluateParamBatch(base, paramSets, out) // warm: derive, compile, plan
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += lam {
-			for j := range paramSets {
-				paramSets[j][0] = 0.1 + float64(i+j)*1e-9
-			}
-			ev.EvaluateParamBatch(base, paramSets, out[:0])
-		}
-	}))
-
 	// Calibration population: the river objective's batch form scoring a
 	// GA-sized cohort (24 vectors) through the lane kernel, amortized per
 	// vector — what one candidate costs the batched Table V calibration
@@ -288,44 +236,40 @@ func benchEvalPass(ds *dataset.Dataset) []benchEvalResult {
 		}
 	}))
 
-	// Population evaluation: the structure-clustered generation scheduler
-	// versus the per-individual scalar path (the -nocluster ablation) over
-	// a duplicate-heavy population — 8 structures × 8 clones with unique
-	// parameter vectors, the generation shape left by param-only variation
-	// (DESIGN.md §14). Amortized per individual.
-	popBench := func(noCluster bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			bases := newInds(8, 29)
-			pop := make([]*gp.Individual, 0, 64)
-			for c := 0; c < 8; c++ {
-				for _, base := range bases {
-					pop = append(pop, base.Clone())
-				}
-			}
-			ev := newEval(true)
-			eng, err := gp.NewEngine(g, ev, gp.Config{PopSize: len(pop), Seed: 7, NoCluster: noCluster})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			eng.EvaluatePopulation(pop) // warm: derive, compile, exogenous plans
-			basep := make([]float64, len(pop))
-			for j, ind := range pop {
-				basep[j] = ind.Params[0]
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += len(pop) {
-				for j, ind := range pop {
-					ind.Params[0] = basep[j] * (1 + float64(i+j)*1e-9)
-					ind.Invalidate()
-				}
-				eng.EvaluatePopulation(pop)
+	// Population evaluation: the structure-clustered scheduler, the one
+	// engine evaluation path, over a duplicate-heavy population — 8
+	// structures × 8 clones with unique parameter vectors, the generation
+	// shape left by param-only variation (DESIGN.md §14). Amortized per
+	// individual.
+	record("evaluate_pop_clustered", testing.Benchmark(func(b *testing.B) {
+		bases := newInds(8, 29)
+		pop := make([]*gp.Individual, 0, 64)
+		for c := 0; c < 8; c++ {
+			for _, base := range bases {
+				pop = append(pop, base.Clone())
 			}
 		}
-	}
-	record("evaluate_pop_clustered", testing.Benchmark(popBench(false)))
-	record("evaluate_pop_scalar", testing.Benchmark(popBench(true)))
+		ev := newEval(true)
+		eng, err := gp.NewEngine(g, ev, gp.Config{PopSize: len(pop), Seed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer eng.Close()
+		eng.EvaluatePopulation(pop) // warm: derive, compile, exogenous plans
+		basep := make([]float64, len(pop))
+		for j, ind := range pop {
+			basep[j] = ind.Params[0]
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += len(pop) {
+			for j, ind := range pop {
+				ind.Params[0] = basep[j] * (1 + float64(i+j)*1e-9)
+				ind.Invalidate()
+			}
+			eng.EvaluatePopulation(pop)
+		}
+	}))
 
 	// Tier-2 hit: identical (structure, params) — pure cache lookup.
 	record("evaluate_tier2_hit", testing.Benchmark(func(b *testing.B) {
@@ -449,18 +393,20 @@ func benchEvalCachePass(ds *dataset.Dataset) evalx.Snapshot {
 		}
 		ev.EndBatch()
 	}
-	// A refinement-style parameter sweep over the round-winners drives the
+	// A refinement-style parameter sweep over the round-winners — one
+	// lane-width cluster of jittered clones per structure — drives the
 	// lane-batched kernel, so the snapshot's lane utilization counters
 	// (lane_batches, lanes_filled, lane_short_circuits) are live too.
 	ev.BeginBatch()
 	for _, ind := range inds[:8] {
-		paramSets := make([][]float64, expr.Lanes)
-		for i := range paramSets {
-			paramSets[i] = append([]float64(nil), ind.Params...)
-			paramSets[i][jrng.Intn(len(ind.Params))] *= 1 + jrng.Float64()*1e-3
+		cluster := make([]*gp.Individual, expr.Lanes)
+		for i := range cluster {
+			c := ind.Clone()
+			c.Params[jrng.Intn(len(c.Params))] *= 1 + jrng.Float64()*1e-3
+			ev.ResolveStruct(c)
+			cluster[i] = c
 		}
-		out := make([]gp.BatchResult, 0, expr.Lanes)
-		ev.EvaluateParamBatch(ind, paramSets, out)
+		ev.EvaluateCluster(cluster)
 	}
 	ev.EndBatch()
 	return ev.Snapshot()
@@ -469,9 +415,11 @@ func benchEvalCachePass(ds *dataset.Dataset) evalx.Snapshot {
 // compareBenchBaseline diffs a fresh snapshot against the committed
 // baseline and returns an error describing every benchmark that regressed
 // (>15% ns/op, or any allocs/op increase). Entries are matched by
-// GOMAXPROCS; benchmarks by name. Benchmarks present on only one side are
-// reported informationally but do not fail the comparison, so the baseline
-// can be extended incrementally.
+// GOMAXPROCS; benchmarks by name. A fresh benchmark with no baseline row
+// is reported informationally, so the baseline can be extended
+// incrementally; a baseline row missing from a re-measured GOMAXPROCS
+// fails the comparison, so retiring a row is a deliberate baseline edit
+// rather than a silent exit from the gate.
 func compareBenchBaseline(cur *benchEvalSnapshot, baselinePath string) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -487,10 +435,12 @@ func compareBenchBaseline(cur *benchEvalSnapshot, baselinePath string) error {
 	}
 
 	byProcs := make(map[int]map[string]benchEvalResult, len(baseEntries))
+	rows := make(map[int][]string, len(baseEntries))
 	for _, e := range baseEntries {
 		m := make(map[string]benchEvalResult, len(e.Benchmarks))
 		for _, b := range e.Benchmarks {
 			m[b.Name] = b
+			rows[e.GOMAXPROCS] = append(rows[e.GOMAXPROCS], b.Name)
 		}
 		byProcs[e.GOMAXPROCS] = m
 	}
@@ -503,6 +453,17 @@ func compareBenchBaseline(cur *benchEvalSnapshot, baselinePath string) error {
 		if !ok {
 			fmt.Printf("  GOMAXPROCS=%d: no baseline entry, skipping\n", e.GOMAXPROCS)
 			continue
+		}
+		fresh := make(map[string]bool, len(e.Benchmarks))
+		for _, c := range e.Benchmarks {
+			fresh[c.Name] = true
+		}
+		for _, b := range rows[e.GOMAXPROCS] {
+			if !fresh[b] {
+				regressions = append(regressions, fmt.Sprintf(
+					"GOMAXPROCS=%d %s: baseline row not re-measured (remove it from the baseline if retired)",
+					e.GOMAXPROCS, b))
+			}
 		}
 		for _, c := range e.Benchmarks {
 			b, ok := bm[c.Name]

@@ -11,7 +11,8 @@ import (
 )
 
 // Tests for the BENCH_EVAL.json regression comparator: legacy-format
-// upgrade, the 15% ns/op limit, and the zero-tolerance allocation rule.
+// upgrade, the 15% ns/op limit, the zero-tolerance allocation rule, and
+// the missing-row rule.
 
 func writeBaseline(t *testing.T, v any) string {
 	t.Helper()
@@ -72,8 +73,8 @@ func TestCompareBenchBaselineNsRegression(t *testing.T) {
 
 func TestCompareBenchBaselineAllocRegression(t *testing.T) {
 	base := writeBaseline(t, snap(1,
-		benchEvalResult{Name: "evaluate_param_batch", NsPerOp: 1000, AllocsPerOp: 0}))
-	cur := snap(1, benchEvalResult{Name: "evaluate_param_batch", NsPerOp: 900, AllocsPerOp: 1})
+		benchEvalResult{Name: "calib_batch_population", NsPerOp: 1000, AllocsPerOp: 0}))
+	cur := snap(1, benchEvalResult{Name: "calib_batch_population", NsPerOp: 900, AllocsPerOp: 1})
 	if err := compareBenchBaseline(cur, base); err == nil {
 		t.Fatal("a single extra alloc/op must fail, even when faster")
 	}
@@ -132,5 +133,28 @@ func TestCompareBenchBaselineSkipsAndErrors(t *testing.T) {
 	}
 	if err := compareBenchBaseline(cur, filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing baseline must be an error")
+	}
+}
+
+// TestCompareBenchBaselineMissingRowFails: a baseline row the fresh run no
+// longer measures, at a GOMAXPROCS it did re-measure, fails the comparison
+// — a retired benchmark must leave the baseline deliberately, not silently
+// drop out of the gate. An entry whose GOMAXPROCS was not re-measured
+// stays informational.
+func TestCompareBenchBaselineMissingRowFails(t *testing.T) {
+	base := writeBaseline(t, &benchEvalSnapshot{GoVersion: "go1.24.0", Entries: []benchEvalEntry{
+		{GOMAXPROCS: 1, Benchmarks: []benchEvalResult{
+			{Name: "evaluate_cold", NsPerOp: 1000, AllocsPerOp: 267},
+			{Name: "retired_bench", NsPerOp: 1000},
+		}},
+		{GOMAXPROCS: 4, Benchmarks: []benchEvalResult{{Name: "retired_bench", NsPerOp: 1000}}},
+	}})
+	cur := snap(1, benchEvalResult{Name: "evaluate_cold", NsPerOp: 1000, AllocsPerOp: 267})
+	if err := compareBenchBaseline(cur, base); err == nil {
+		t.Fatal("a baseline row missing from the fresh run must fail")
+	}
+	cur.Entries[0].Benchmarks = append(cur.Entries[0].Benchmarks, benchEvalResult{Name: "retired_bench", NsPerOp: 1000})
+	if err := compareBenchBaseline(cur, base); err != nil {
+		t.Fatalf("every GOMAXPROCS=1 row re-measured; the unmeasured GOMAXPROCS=4 entry must not fail: %v", err)
 	}
 }

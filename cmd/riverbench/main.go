@@ -16,7 +16,7 @@
 // Rows are printed in the paper's layout so results can be compared side by
 // side with Table V and Figures 1, 9, 10, and 11 (see EXPERIMENTS.md).
 // -exp bencheval snapshots the evaluator hot-path benchmarks (cold /
-// tier-1 hit / param batch / tier-2 hit, plus cache hit rates) into a JSON
+// tier-1 hit / clustered population / tier-2 hit, plus cache hit rates) into a JSON
 // file, once per GOMAXPROCS setting (1 and all CPUs); with -baseline it
 // additionally compares against a committed snapshot and exits non-zero on
 // any >15% ns/op regression or allocs/op increase (`make bench-diff`).

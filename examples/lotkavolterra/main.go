@@ -97,9 +97,21 @@ type lvEvaluator struct {
 	obs []float64
 }
 
-func (e *lvEvaluator) BeginBatch() {}
-func (e *lvEvaluator) EndBatch()   {}
-func (e *lvEvaluator) Evaluate(ind *gp.Individual) {
+// The example caches nothing, so ResolveStruct memoizes no key and every
+// individual is a singleton cluster scored on its own.
+func (e *lvEvaluator) BeginBatch()                  {}
+func (e *lvEvaluator) EndBatch()                    {}
+func (e *lvEvaluator) ResolveStruct(*gp.Individual) {}
+func (e *lvEvaluator) NoteCluster(int)              {}
+func (e *lvEvaluator) EvaluateCluster(inds []*gp.Individual) {
+	for _, ind := range inds {
+		if !ind.Evaluated {
+			e.evaluate(ind)
+		}
+	}
+}
+
+func (e *lvEvaluator) evaluate(ind *gp.Individual) {
 	ind.Evaluated, ind.FullEval = true, true
 	derived, err := ind.Deriv.Derive()
 	if err != nil || derived.Sym != "LV" || len(derived.Kids) != 2 {

@@ -109,38 +109,39 @@ func BenchmarkEvaluate_Tier1Hit(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateParamBatch measures the segmented batch path amortized
-// per member: one structure, batches of 16 parameter vectors, reused
-// result buffer. Steady state this must be allocation-free — the same
-// contract TestBatchSteadyStateZeroAllocs enforces exactly.
-func BenchmarkEvaluateParamBatch(b *testing.B) {
+// BenchmarkEvaluateClusterParamSweep measures a parameter sweep through
+// the lane-batched cluster path amortized per member: one structure,
+// clusters of 16 resolved clones with unique parameters — what a champion-
+// refinement round costs.
+func BenchmarkEvaluateClusterParamSweep(b *testing.B) {
 	inds := benchIndividuals(b, 1, 13)
 	ev := benchEvaluator(b, true)
 	ev.BeginBatch()
 	defer ev.EndBatch()
 	base := inds[0]
+	ev.Evaluate(base) // warm: derive, compile, plan; memoizes the key clones inherit
 	const lam = 16
-	paramSets := make([][]float64, lam)
-	for i := range paramSets {
-		paramSets[i] = append([]float64(nil), base.Params...)
+	cluster := make([]*gp.Individual, lam)
+	for i := range cluster {
+		cluster[i] = base.Clone()
 	}
-	out := make([]gp.BatchResult, 0, lam)
-	ev.EvaluateParamBatch(base, paramSets, out) // warm: derive, compile, plan
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += lam {
-		for j := range paramSets {
-			paramSets[j][0] = 0.1 + float64(i+j)*1e-9
+		for j, c := range cluster {
+			c.Params[0] = 0.1 + float64(i+j)*1e-9
+			c.Invalidate()
+			ev.ResolveStruct(c)
 		}
-		ev.EvaluateParamBatch(base, paramSets, out[:0])
+		ev.EvaluateCluster(cluster)
 	}
 	b.StopTimer()
 	st := ev.Stats()
 	if st.Compiles != 1 || st.Derives != 1 {
-		b.Fatalf("batch path must not re-derive or re-compile: derives=%d compiles=%d", st.Derives, st.Compiles)
+		b.Fatalf("cluster path must not re-derive or re-compile: derives=%d compiles=%d", st.Derives, st.Compiles)
 	}
 	if st.ExogPlanBuilds != 1 {
-		b.Fatalf("batch path must reuse one exogenous plan, built %d", st.ExogPlanBuilds)
+		b.Fatalf("cluster path must reuse one exogenous plan, built %d", st.ExogPlanBuilds)
 	}
 }
 

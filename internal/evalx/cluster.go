@@ -1,6 +1,7 @@
 // Cluster evaluation (DESIGN.md §14): the gp engine's structure-clustered
-// population scheduler partitions each generation by memoized structure key
-// and hands every same-structure cluster to EvaluateCluster, which scores
+// scheduler partitions each generation and each champion-refinement round
+// by memoized structure key and hands every same-structure cluster (a
+// local-search candidate is a cluster of 1) to EvaluateCluster, which scores
 // the members through the lane-batched kernel with per-member semantics
 // bitwise equal to sequential scalar Evaluate calls — the same fitnesses,
 // fault-injection sites, quarantine classification, and tier-2 cache
@@ -51,11 +52,11 @@ func histBucket(size int) int {
 }
 
 // EvaluateCluster scores the unevaluated members of one same-structure
-// cluster (gp.ClusterEvaluator). Callers must ResolveStruct every member
-// first; the members' shared memoized key then locates the tier-1 entry
-// without a second counted resolve. Per-member semantics equal sequential
-// Evaluate calls in slice order; on an injected panic, every member before
-// the panicker is committed first (the ClusterEvaluator panic protocol).
+// cluster (gp.Evaluator). Callers must ResolveStruct every member first;
+// the members' shared memoized key then locates the tier-1 entry without a
+// second counted resolve. Per-member semantics equal sequential Evaluate
+// calls in slice order; on an injected panic, every member before the
+// panicker is committed first (the gp.Evaluator panic protocol).
 func (e *Evaluator) EvaluateCluster(inds []*gp.Individual) {
 	sc := e.scratch.Get().(*evalScratch)
 	defer e.scratch.Put(sc)
@@ -114,10 +115,10 @@ func (e *Evaluator) EvaluateCluster(inds []*gp.Individual) {
 // walks the members in input order — counters, the fault-injection and
 // tier-2 prelude, intra-cluster duplicate detection — collecting the cache
 // misses as pending lane members; the lane scorer then simulates them and
-// commits each in input order with a tier-2 insert. Unlike
-// EvaluateParamBatch's high-churn sweeps, the population path does insert
-// simulated fitnesses into tier 2, exactly like scalar evaluation: clones,
-// elites, and next-generation duplicates replay these keys.
+// commits each in input order with a tier-2 insert, exactly like scalar
+// evaluation: clones, elites, and next-generation duplicates replay these
+// keys. Champion-refinement sweeps insert too; a proposal is rarely
+// replayed, so that costs one key string per simulated member.
 //
 // An injected panic at member i is deferred: phase 1 stops there (member i
 // counted but not simulated, later members untouched), the pending prefix
@@ -173,13 +174,7 @@ func (e *Evaluator) evaluateClusterLanes(ent *structEntry, key string, inds []*g
 	sc.lane = pending
 	sc.dups = dups
 
-	// Deadline configurations never reach the lane path, so no uncacheable
-	// results land in tier 2 here.
-	e.scoreLanes(ent, pending, sc, true, func(lm *laneMember, fitness float64, full bool) {
-		e.insertFit(sc.ckeys[lm.keyOff:lm.keyOff+lm.keyLen], lm.site, fitness, full)
-		ind := inds[lm.idx]
-		ind.Fitness, ind.Evaluated, ind.FullEval = fitness, true, full
-	})
+	e.scoreLanes(ent, pending, inds, sc)
 	for _, d := range dups {
 		e.ctr.cacheHits.Add(1)
 		d.dst.Fitness, d.dst.Evaluated, d.dst.FullEval = d.src.Fitness, true, d.src.FullEval
@@ -189,4 +184,4 @@ func (e *Evaluator) evaluateClusterLanes(ent *structEntry, key string, inds []*g
 	}
 }
 
-var _ gp.ClusterEvaluator = (*Evaluator)(nil)
+var _ gp.Evaluator = (*Evaluator)(nil)

@@ -46,16 +46,6 @@ func parityPop(t *testing.T, g *tag.Grammar, nStructs int) []*gp.Individual {
 	return pop
 }
 
-// legacyEval narrows an *Evaluator to the plain gp.Evaluator interface so
-// the engine takes its per-individual dispatch path. Explicit delegation,
-// not embedding: embedding would re-expose EvaluateCluster and the engine
-// would detect a ClusterEvaluator again.
-type legacyEval struct{ ev *Evaluator }
-
-func (l legacyEval) BeginBatch()                 { l.ev.BeginBatch() }
-func (l legacyEval) Evaluate(ind *gp.Individual) { l.ev.Evaluate(ind) }
-func (l legacyEval) EndBatch()                   { l.ev.EndBatch() }
-
 // scalarSubset extracts the counters that must match between the clustered
 // scheduler and sequential scalar evaluation at Workers=1. The pop_*/lane
 // counters are intentionally absent (they differ by construction), and so
@@ -73,17 +63,11 @@ func scalarSubset(s Stats) [13]int {
 // runPop drives one EvaluatePopulation pass over a fresh engine + fresh
 // evaluator and returns the population, evaluator stats, and the engine
 // quarantine count.
-func runPop(t *testing.T, g *tag.Grammar, opts Options, workers int, noCluster, legacy bool) ([]*gp.Individual, Stats, int64) {
+func runPop(t *testing.T, g *tag.Grammar, opts Options, workers int) ([]*gp.Individual, Stats, int64) {
 	t.Helper()
 	forcing, obs, consts := smallData(t)
 	ev := New(forcing, obs, consts, opts)
-	var geval gp.Evaluator = ev
-	if legacy {
-		geval = legacyEval{ev}
-	}
-	eng, err := gp.NewEngine(g, geval, gp.Config{
-		PopSize: 48, Seed: 11, Workers: workers, NoCluster: noCluster,
-	})
+	eng, err := gp.NewEngine(g, ev, gp.Config{PopSize: 48, Seed: 11, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +75,35 @@ func runPop(t *testing.T, g *tag.Grammar, opts Options, workers int, noCluster, 
 	pop := parityPop(t, g, 6)
 	eng.EvaluatePopulation(pop)
 	return pop, ev.Stats(), eng.Quarantines()
+}
+
+// seqPop is runPop's star-shaped reference: the same population scored by
+// one scalar Evaluate call per unevaluated member, in population order,
+// inside one batch, with a panicking member recovered and quarantined
+// (+Inf, evaluated, full) the way the engine quarantines.
+func seqPop(t *testing.T, g *tag.Grammar, opts Options) ([]*gp.Individual, Stats, int64) {
+	t.Helper()
+	forcing, obs, consts := smallData(t)
+	ev := New(forcing, obs, consts, opts)
+	pop := parityPop(t, g, 6)
+	var quarantined int64
+	ev.BeginBatch()
+	for _, ind := range pop {
+		if ind.Evaluated {
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					ind.Fitness, ind.Evaluated, ind.FullEval = math.Inf(1), true, true
+					quarantined++
+				}
+			}()
+			ev.Evaluate(ind)
+		}()
+	}
+	ev.EndBatch()
+	return pop, ev.Stats(), quarantined
 }
 
 // comparePops asserts bitwise-identical fitness and identical evaluation
@@ -108,11 +121,10 @@ func comparePops(t *testing.T, label string, a, b []*gp.Individual) {
 	}
 }
 
-// TestClusterScalarParity: at Workers=1 the clustered scheduler, the
-// -nocluster ablation, and the pre-cluster per-individual dispatch path
-// (legacy wrapper) must agree bitwise on every fitness and on the full
-// scalar counter subset — the clustered path is an optimization, not a
-// semantic change.
+// TestClusterScalarParity: at Workers=1 the clustered scheduler and
+// sequential scalar Evaluate calls must agree bitwise on every fitness and
+// on the full scalar counter subset — the clustered path is an
+// optimization, not a semantic change.
 func TestClusterScalarParity(t *testing.T) {
 	_, obs, _ := smallData(t)
 	g, err := grammar.River(grammar.DefaultExtensions())
@@ -121,20 +133,15 @@ func TestClusterScalarParity(t *testing.T) {
 	}
 	opts := AllSpeedups(simCfg(obs))
 
-	popRef, stRef, quarRef := runPop(t, g, opts, 1, false, true) // legacy per-individual
-	popClu, stClu, quarClu := runPop(t, g, opts, 1, false, false)
-	popNoC, stNoC, quarNoC := runPop(t, g, opts, 1, true, false)
+	popRef, stRef, quarRef := seqPop(t, g, opts)
+	popClu, stClu, quarClu := runPop(t, g, opts, 1)
 
-	comparePops(t, "clustered vs legacy", popClu, popRef)
-	comparePops(t, "nocluster vs legacy", popNoC, popRef)
+	comparePops(t, "clustered vs sequential", popClu, popRef)
 	if a, b := scalarSubset(stClu), scalarSubset(stRef); a != b {
-		t.Errorf("clustered counters %v != legacy %v", a, b)
+		t.Errorf("clustered counters %v != sequential %v", a, b)
 	}
-	if a, b := scalarSubset(stNoC), scalarSubset(stRef); a != b {
-		t.Errorf("nocluster counters %v != legacy %v", a, b)
-	}
-	if quarClu != quarRef || quarNoC != quarRef {
-		t.Errorf("quarantines: clustered %d, nocluster %d, legacy %d", quarClu, quarNoC, quarRef)
+	if quarClu != quarRef {
+		t.Errorf("quarantines: clustered %d, sequential %d", quarClu, quarRef)
 	}
 	// The duplicate-heavy shape must actually exercise the lane path:
 	// multi-member clusters scheduled, lane batches launched from them.
@@ -142,16 +149,12 @@ func TestClusterScalarParity(t *testing.T) {
 		t.Errorf("clustered run scheduled %d clusters, %d lane batches; fixture is not exercising the lane path",
 			stClu.PopClusters, stClu.PopLaneBatches)
 	}
-	if stNoC.PopClusters != 0 || stNoC.PopScalarFallbacks == 0 {
-		t.Errorf("nocluster run: %d clusters, %d scalar fallbacks; ablation not routing through singletons",
-			stNoC.PopClusters, stNoC.PopScalarFallbacks)
-	}
 }
 
 // TestClusterFaultParity: with injected panics and NaN poisons, the
 // clustered scheduler must make the same per-member quarantine decisions as
-// the scalar path — same +Inf members, same reason counters, same engine
-// panic-quarantine count. Fault decisions are deterministic per individual
+// sequential scalar evaluation — same +Inf members, same reason counters,
+// same panic-quarantine count. Fault decisions are deterministic per individual
 // (see TestFaultDecisionsDeterministicAcrossEvaluators), so this holds
 // bitwise at Workers=1.
 func TestClusterFaultParity(t *testing.T) {
@@ -170,15 +173,15 @@ func TestClusterFaultParity(t *testing.T) {
 		return opts
 	}
 
-	popClu, stClu, quarClu := runPop(t, g, mkOpts(), 1, false, false)
-	popNoC, stNoC, quarNoC := runPop(t, g, mkOpts(), 1, true, false)
+	popClu, stClu, quarClu := runPop(t, g, mkOpts(), 1)
+	popSeq, stSeq, quarSeq := seqPop(t, g, mkOpts())
 
-	comparePops(t, "faulty clustered vs nocluster", popClu, popNoC)
-	if a, b := scalarSubset(stClu), scalarSubset(stNoC); a != b {
-		t.Errorf("faulty counters: clustered %v != nocluster %v", a, b)
+	comparePops(t, "faulty clustered vs sequential", popClu, popSeq)
+	if a, b := scalarSubset(stClu), scalarSubset(stSeq); a != b {
+		t.Errorf("faulty counters: clustered %v != sequential %v", a, b)
 	}
-	if quarClu != quarNoC {
-		t.Errorf("engine quarantines: clustered %d != nocluster %d", quarClu, quarNoC)
+	if quarClu != quarSeq {
+		t.Errorf("panic quarantines: clustered %d != sequential %d", quarClu, quarSeq)
 	}
 	if quarClu == 0 && stClu.Quarantined() == 0 {
 		t.Error("10% panic + 10% nan over 46 members injected nothing (suspicious)")
@@ -218,8 +221,8 @@ func TestClusterWorkersParity(t *testing.T) {
 			}
 			return opts
 		}
-		pop1, st1, quar1 := runPop(t, g, mkOpts(), 1, false, false)
-		pop8, st8, quar8 := runPop(t, g, mkOpts(), 8, false, false)
+		pop1, st1, quar1 := runPop(t, g, mkOpts(), 1)
+		pop8, st8, quar8 := runPop(t, g, mkOpts(), 8)
 		comparePops(t, "workers 1 vs 8 ("+spec+")", pop1, pop8)
 		if quar1 != quar8 {
 			t.Errorf("spec %q: engine quarantines %d (w=1) != %d (w=8)", spec, quar1, quar8)

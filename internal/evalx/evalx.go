@@ -201,13 +201,10 @@ type Stats struct {
 	StepsEvaluated int // total fitness cases actually simulated
 	StepsPossible  int // fitness cases that full evaluation would cost
 
-	// Tier-1.5 (exogenous-plan) cache and batch-evaluation counters
-	// (DESIGN.md §10).
+	// Tier-1.5 (exogenous-plan) cache counters (DESIGN.md §10).
 	ExogPlanBuilds int // T×k exogenous matrices materialized (once per structure)
 	ExogPlanHits   int // segmented simulations served by an existing plan
 	RegsHoisted    int // exogenous registers hoisted across all plan builds (Σ k)
-	BatchCalls     int // EvaluateParamBatch invocations
-	BatchMembers   int // parameter vectors evaluated through the batch API
 
 	// Lane-batched kernel counters (DESIGN.md §11): one lane batch is one
 	// lane-kernel launch scoring up to expr.Lanes members per instruction
@@ -220,13 +217,14 @@ type Stats struct {
 	LaneShortCircuits int // short circuits decided on the lane path
 	LaneCompactions   int // lanes compacted away mid-launch (aborts + early stops)
 
-	// Structure-clustered population-scheduler counters (DESIGN.md §14):
-	// clusters are same-structure groups the GP generation loop dispatched
-	// through EvaluateCluster; scalar fallbacks are singleton clusters
-	// (unique structures, failed derivations, or the -nocluster ablation).
-	// PopLaneBatches/PopLanesFilled are the subset of LaneBatches/
-	// LanesFilled launched from the population path, and the histogram
-	// buckets cluster sizes at powers of two (1, 2, ≤4, ≤8, ..., >64).
+	// Structure-clustered scheduler counters (DESIGN.md §14): clusters are
+	// same-structure groups the GP engine's partition passes (generation
+	// populations and champion-refinement rounds) dispatched through
+	// EvaluateCluster; scalar fallbacks are singleton clusters (unique
+	// structures, failed derivations). Every lane launch comes from
+	// EvaluateCluster, so PopLaneBatches/PopLanesFilled equal LaneBatches/
+	// LanesFilled. The histogram buckets cluster sizes at powers of two
+	// (1, 2, ≤4, ≤8, ..., >64).
 	PopClusters        int                 // multi-member clusters scheduled
 	PopScalarFallbacks int                 // singleton clusters (scalar path)
 	PopLaneBatches     int                 // lane-kernel launches from EvaluateCluster
@@ -264,8 +262,6 @@ func (s *Stats) Add(o Stats) {
 	s.ExogPlanBuilds += o.ExogPlanBuilds
 	s.ExogPlanHits += o.ExogPlanHits
 	s.RegsHoisted += o.RegsHoisted
-	s.BatchCalls += o.BatchCalls
-	s.BatchMembers += o.BatchMembers
 	s.LaneBatches += o.LaneBatches
 	s.LanesFilled += o.LanesFilled
 	s.LaneShortCircuits += o.LaneShortCircuits
@@ -298,16 +294,12 @@ type counters struct {
 	exogPlanBuilds atomic.Int64
 	exogPlanHits   atomic.Int64
 	regsHoisted    atomic.Int64
-	batchCalls     atomic.Int64
-	batchMembers   atomic.Int64
 	laneBatches    atomic.Int64
 	lanesFilled    atomic.Int64
 	laneShortCircs atomic.Int64
 	laneCompacts   atomic.Int64
 	popClusters    atomic.Int64
 	popScalarFalls atomic.Int64
-	popLaneBatches atomic.Int64
-	popLanesFilled atomic.Int64
 	popClusterHist [PopHistBuckets]atomic.Int64
 	quarantine     [numReasons]atomic.Int64
 }
@@ -330,16 +322,14 @@ func (c *counters) snapshot() Stats {
 		ExogPlanBuilds:     int(c.exogPlanBuilds.Load()),
 		ExogPlanHits:       int(c.exogPlanHits.Load()),
 		RegsHoisted:        int(c.regsHoisted.Load()),
-		BatchCalls:         int(c.batchCalls.Load()),
-		BatchMembers:       int(c.batchMembers.Load()),
 		LaneBatches:        int(c.laneBatches.Load()),
 		LanesFilled:        int(c.lanesFilled.Load()),
 		LaneShortCircuits:  int(c.laneShortCircs.Load()),
 		LaneCompactions:    int(c.laneCompacts.Load()),
 		PopClusters:        int(c.popClusters.Load()),
 		PopScalarFallbacks: int(c.popScalarFalls.Load()),
-		PopLaneBatches:     int(c.popLaneBatches.Load()),
-		PopLanesFilled:     int(c.popLanesFilled.Load()),
+		PopLaneBatches:     int(c.laneBatches.Load()),
+		PopLanesFilled:     int(c.lanesFilled.Load()),
 		PopClusterSizeHist: hist,
 		QuarNaN:            int(c.quarantine[ReasonNaN].Load()),
 		QuarInf:            int(c.quarantine[ReasonInf].Load()),
@@ -361,16 +351,12 @@ func (c *counters) reset() {
 	c.exogPlanBuilds.Store(0)
 	c.exogPlanHits.Store(0)
 	c.regsHoisted.Store(0)
-	c.batchCalls.Store(0)
-	c.batchMembers.Store(0)
 	c.laneBatches.Store(0)
 	c.lanesFilled.Store(0)
 	c.laneShortCircs.Store(0)
 	c.laneCompacts.Store(0)
 	c.popClusters.Store(0)
 	c.popScalarFalls.Store(0)
-	c.popLaneBatches.Store(0)
-	c.popLanesFilled.Store(0)
 	for i := range c.popClusterHist {
 		c.popClusterHist[i].Store(0)
 	}
@@ -388,8 +374,11 @@ func (c *counters) quarantineCount(r Reason) {
 }
 
 // Evaluator scores gp.Individuals by simulating their revised process over
-// the training window and measuring RMSE against observations. It is safe
-// for concurrent Evaluate calls between BeginBatch and EndBatch.
+// the training window and measuring RMSE against observations. It
+// implements gp.Evaluator (ResolveStruct + EvaluateCluster, cluster.go);
+// Evaluate is the scalar convenience for callers outside the engine and the
+// reference the cluster path is tested against. It is safe for concurrent
+// calls between BeginBatch and EndBatch.
 type Evaluator struct {
 	forcing [][]float64
 	obs     []float64
@@ -454,7 +443,7 @@ type dupPair struct {
 // finish methods are the evaluator's only per-day accounting and final
 // classification.
 type laneMember struct {
-	idx    int // index into the caller's out (or inds) slice
+	idx    int // index into the cluster's inds slice
 	params []float64
 	poison int // fault-injected NaN step, -1 when clean
 	sse    float64
@@ -466,7 +455,7 @@ type laneMember struct {
 	// Cluster-path bookkeeping (EvaluateCluster): the member's tier-2 key
 	// within evalScratch.ckeys and its fault/shard site hash, kept so the
 	// commit can insert the simulated fitness into the tier-2 cache exactly
-	// like the scalar path. Unused by EvaluateParamBatch.
+	// like the scalar path.
 	keyOff, keyLen int
 	site           uint64
 }
@@ -704,14 +693,12 @@ type Snapshot struct {
 	StepsEvaluated int     `json:"steps_evaluated"`
 	StepsPossible  int     `json:"steps_possible"`
 
-	// Tier-1.5 exogenous-plan cache and batch-evaluation telemetry
-	// (DESIGN.md §10): plans are hoisted T×k forcing matrices built once
-	// per structure; hits are segmented simulations that reused one.
+	// Tier-1.5 exogenous-plan cache telemetry (DESIGN.md §10): plans are
+	// hoisted T×k forcing matrices built once per structure; hits are
+	// segmented simulations that reused one.
 	ExogPlanBuilds int `json:"exog_plan_builds"`
 	ExogPlanHits   int `json:"exog_plan_hits"`
 	RegsHoisted    int `json:"regs_hoisted"`
-	BatchCalls     int `json:"batch_calls"`
-	BatchMembers   int `json:"batch_members"`
 
 	// Lane-batched kernel telemetry (DESIGN.md §11): launches of the
 	// multi-lane STEP kernel, the members they carried (their ratio is the
@@ -722,11 +709,12 @@ type Snapshot struct {
 	LaneShortCircuits int `json:"lane_short_circuits"`
 	LaneCompactions   int `json:"lane_compactions"`
 
-	// Structure-clustered population-scheduler telemetry (DESIGN.md §14):
-	// same-structure clusters the generation loop dispatched through the
-	// lane kernel, singleton scalar fallbacks, the lane launches the
-	// population path issued, and the power-of-two cluster-size histogram
-	// (buckets 1, 2, ≤4, ≤8, ≤16, ≤32, ≤64, >64).
+	// Structure-clustered scheduler telemetry (DESIGN.md §14): same-
+	// structure clusters the engine's partition passes (populations and
+	// refinement rounds) dispatched through the lane kernel, singleton
+	// scalar fallbacks, the lane launches they issued (all of them), and
+	// the power-of-two cluster-size histogram (buckets 1, 2, ≤4, ≤8, ≤16,
+	// ≤32, ≤64, >64).
 	PopClusters        int                 `json:"pop_clusters"`
 	PopScalarFallbacks int                 `json:"pop_scalar_fallbacks"`
 	PopLaneBatches     int                 `json:"pop_lane_batches"`
@@ -762,8 +750,6 @@ func (e *Evaluator) Snapshot() Snapshot {
 		ExogPlanBuilds:     st.ExogPlanBuilds,
 		ExogPlanHits:       st.ExogPlanHits,
 		RegsHoisted:        st.RegsHoisted,
-		BatchCalls:         st.BatchCalls,
-		BatchMembers:       st.BatchMembers,
 		LaneBatches:        st.LaneBatches,
 		LanesFilled:        st.LanesFilled,
 		LaneShortCircuits:  st.LaneShortCircuits,
@@ -812,7 +798,9 @@ func (e *Evaluator) SetShortCircuitRef(f float64) {
 }
 
 // Evaluate derives the individual's process, applies the configured
-// speedups, and stores the resulting fitness on the individual.
+// speedups, and stores the resulting fitness on the individual: one
+// individual scored outside the engine (serving, Fig 10, benchmarks), with
+// the counter trail of ResolveStruct followed by EvaluateCluster.
 func (e *Evaluator) Evaluate(ind *gp.Individual) {
 	sc := e.scratch.Get().(*evalScratch)
 	defer e.scratch.Put(sc)
@@ -931,94 +919,19 @@ func (e *Evaluator) evalUncached(ind *gp.Individual, params []float64, sc *evalS
 	return fitness, full
 }
 
-// EvaluateParamBatch scores many parameter vectors against one individual's
-// structure in a single call (gp.BatchEvaluator): the structure is resolved
-// through the tier-1 cache once, the tier-1.5 exogenous plan is shared by
-// every member, and each member pays only the parameter prologue plus the
-// state-dependent step kernel. Results are appended to out and returned,
-// one per parameter vector, equivalent to sequential Evaluate calls (same
-// fitnesses, same fault-injection sites, same short-circuit decisions under
-// the batch-frozen reference).
-//
-// Unlike Evaluate, the batch path consults the tier-2 fitness cache but
-// never inserts into it: parameter sweeps are high-churn (Gaussian-mutation
-// proposals are almost never replayed verbatim), and skipping the insert
-// avoids materializing a key string per member — the steady-state batch
-// path is allocation-free. It is safe for concurrent calls between
-// BeginBatch and EndBatch.
-func (e *Evaluator) EvaluateParamBatch(ind *gp.Individual, paramSets [][]float64, out []gp.BatchResult) []gp.BatchResult {
-	e.ctr.batchCalls.Add(1)
-	e.ctr.batchMembers.Add(int64(len(paramSets)))
-
-	sc := e.scratch.Get().(*evalScratch)
-	defer e.scratch.Put(sc)
-
-	if !e.opts.UseCache {
-		// Ablation configurations run the full uncached pipeline per
-		// member, exactly like sequential Evaluate calls, so the Fig 10
-		// derive/compile counters keep their meaning.
-		for _, ps := range paramSets {
-			fitness, full := e.evalUncached(ind, ps, sc)
-			out = append(out, gp.BatchResult{Fitness: fitness, Full: full})
-		}
-		return out
-	}
-
-	ent, key := e.structFor(ind)
-	if ent != nil && !ent.bad && len(paramSets) > 1 {
-		// The remaining members share the resolved structure by
-		// construction; count them as tier-1 hits so hit-rate telemetry
-		// stays comparable with sequential evaluation.
-		e.ctr.tier1Hits.Add(int64(len(paramSets) - 1))
-	}
-	// Lane-batched fast path (DESIGN.md §11): tier-2 misses are deferred to
-	// the lane scorer. Deadline evaluations stay on the scalar path — their
-	// wall-clock polls are per-member.
-	lanes := ent != nil && !ent.bad && ent.seg != nil && e.opts.EvalDeadline == 0
-	pending := sc.lane[:0]
-	for _, ps := range paramSets {
-		e.countEval()
-		if ent == nil || ent.bad {
-			e.ctr.quarantineCount(ReasonBadStructure)
-			out = append(out, gp.BatchResult{Fitness: math.Inf(1), Full: true})
-			continue
-		}
-		kb := appendFitKey(sc.key[:0], key, ps)
-		sc.key = kb
-		site, hit, ok := e.probeFit(kb, nil)
-		switch {
-		case ok:
-			out = append(out, gp.BatchResult{Fitness: hit.fitness, Full: hit.full})
-		case lanes:
-			// The plan lookup is counted per simulated member, exactly
-			// like the scalar path's planFor call inside simulate.
-			e.planFor(ent)
-			pending = append(pending, e.member(len(out), ps, site))
-			out = append(out, gp.BatchResult{})
-		default:
-			fitness, full, _ := e.simulate(ent, ps, sc, site)
-			out = append(out, gp.BatchResult{Fitness: fitness, Full: full})
-		}
-	}
-	sc.lane = pending
-	e.scoreLanes(ent, pending, sc, false, func(lm *laneMember, fitness float64, full bool) {
-		out[lm.idx] = gp.BatchResult{Fitness: fitness, Full: full}
-	})
-	return out
-}
-
-// scoreLanes is the lane scorer shared by EvaluateParamBatch and
-// EvaluateCluster. The pending members — the callers' tier-2 misses, in
-// input order — integrate on the lane driver (bio.SegSystem.RunLanes), each
-// lane's hook running the member's observe, so per-member semantics are
-// exactly scalar simulate's: the same NaN poisons, the same Algorithm 1
-// short-circuit decisions against the batch-frozen reference, the same
-// quarantine classification. A member whose evaluation short-circuits or
-// aborts drops out of its launch mid-flight (lane compaction), so
-// UseShortCircuit saves real work inside batches. Every member is then
-// classified by finish and handed to commit in input order; pop attributes
-// the launches to the population scheduler's counters.
-func (e *Evaluator) scoreLanes(ent *structEntry, pending []laneMember, sc *evalScratch, pop bool, commit func(lm *laneMember, fitness float64, full bool)) {
+// scoreLanes is EvaluateCluster's lane scorer. The pending members — the
+// cluster's tier-2 misses, in input order — integrate on the lane driver
+// (bio.SegSystem.RunLanes), each lane's hook running the member's observe,
+// so per-member semantics are exactly scalar simulate's: the same NaN
+// poisons, the same Algorithm 1 short-circuit decisions against the
+// batch-frozen reference, the same quarantine classification. A member
+// whose evaluation short-circuits or aborts drops out of its launch
+// mid-flight (lane compaction), so UseShortCircuit saves real work inside
+// batches. Every member is then classified by finish and committed to its
+// individual in input order, with a tier-2 insert like the scalar path's
+// (deadline configurations never reach the lane path, so no uncacheable
+// result lands in tier 2).
+func (e *Evaluator) scoreLanes(ent *structEntry, pending []laneMember, inds []*gp.Individual, sc *evalScratch) {
 	if len(pending) == 0 {
 		return
 	}
@@ -1027,13 +940,8 @@ func (e *Evaluator) scoreLanes(ent *structEntry, pending []laneMember, sc *evalS
 		ps = append(ps, pending[i].params)
 	}
 	sc.laneParams = ps
-	launches := int64((len(pending) + expr.Lanes - 1) / expr.Lanes)
-	e.ctr.laneBatches.Add(launches)
+	e.ctr.laneBatches.Add(int64((len(pending) + expr.Lanes - 1) / expr.Lanes))
 	e.ctr.lanesFilled.Add(int64(len(pending)))
-	if pop {
-		e.ctr.popLaneBatches.Add(launches)
-		e.ctr.popLanesFilled.Add(int64(len(pending)))
-	}
 
 	ref := e.frozenRef()
 	hook := func(m, t int, bphy float64) bool { return pending[m].observe(&ref, t, bphy, nil) }
@@ -1041,7 +949,7 @@ func (e *Evaluator) scoreLanes(ent *structEntry, pending []laneMember, sc *evalS
 	if e.tracer != nil {
 		onLaunch = func(_ int, start time.Time, d time.Duration) { e.tracer.Observe("evalx.lane_batch", start, d) }
 	}
-	// ent.plan was materialized by the callers' per-member planFor.
+	// ent.plan was materialized by the caller's per-member planFor.
 	var drops int
 	if e.profLabels {
 		pprof.Do(context.Background(), pprof.Labels("eval_phase", "step-kernel"), func(context.Context) {
@@ -1058,7 +966,9 @@ func (e *Evaluator) scoreLanes(ent *structEntry, pending []laneMember, sc *evalS
 		if lm.scd {
 			e.ctr.laneShortCircs.Add(1)
 		}
-		commit(lm, fitness, full)
+		e.insertFit(sc.ckeys[lm.keyOff:lm.keyOff+lm.keyLen], lm.site, fitness, full)
+		ind := inds[lm.idx]
+		ind.Fitness, ind.Evaluated, ind.FullEval = fitness, true, full
 	}
 }
 
@@ -1069,7 +979,7 @@ const uncachedSiteBase = 0x51_7e_ba_5e_0dd5_ee_d1
 // injectPre applies the pre-evaluation fault classes at site hash h: an
 // injected panic (recovered and quarantined by gp.Engine's worker pool) or
 // artificial latency. The panic is raised unless deferred is non-nil; then
-// it is stored there instead (the ClusterEvaluator panic protocol commits
+// it is stored there instead (the gp.Evaluator panic protocol commits
 // earlier members first) and no latency is injected. Nil injector: two nil
 // checks, no allocation.
 func (e *Evaluator) injectPre(h uint64, deferred *any) {
@@ -1306,8 +1216,3 @@ func ModelExprs(ind *gp.Individual) (phy, zoo *expr.Node, err error) {
 	}
 	return expr.Simplify(phy), expr.Simplify(zoo), nil
 }
-
-var (
-	_ gp.Evaluator      = (*Evaluator)(nil)
-	_ gp.BatchEvaluator = (*Evaluator)(nil)
-)

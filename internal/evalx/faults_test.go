@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"gmr/internal/faultinject"
+	"gmr/internal/gp"
+	"gmr/internal/grammar"
 )
 
 // faultOpts builds cached+compiled options with the given fault spec.
@@ -148,5 +150,51 @@ func TestFaultFreeRunHasNoQuarantines(t *testing.T) {
 	}
 	if math.IsInf(ind.Fitness, 1) || math.IsNaN(ind.Fitness) {
 		t.Fatalf("fault-free fitness = %v", ind.Fitness)
+	}
+}
+
+// TestEngineEvaluationCountsUnderPanics: under injected panics, every
+// evaluation the engine counts is one evaluation the evaluator counts —
+// population, refinement and local search alike — and each costs exactly
+// one window of fitness cases. A panicking member is quarantined once,
+// never re-scored.
+func TestEngineEvaluationCountsUnderPanics(t *testing.T) {
+	forcing, obs, consts := smallData(t)
+	g, err := grammar.River(grammar.DefaultExtensions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	priors := make([]gp.Prior, len(consts))
+	for i, c := range consts {
+		priors[i] = gp.Prior{Mean: c.Mean, Min: c.Min, Max: c.Max}
+	}
+	for _, spec := range []string{"", "seed=42,panic:0.2", "seed=9,panic:0.3"} {
+		opts := AllSpeedups(simCfg(obs))
+		if spec != "" {
+			opts.Faults = faultOpts(t, obs, spec).Faults
+		}
+		ev := New(forcing, obs, consts, opts)
+		eng, err := gp.NewEngine(g, ev, gp.Config{
+			PopSize: 24, MaxGen: 12, LocalSearchSteps: 2, Workers: 1,
+			Priors: priors, InitParamsAtMean: true, Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := ev.Stats()
+		if res.Evaluations != st.Evaluations {
+			t.Errorf("spec %q: engine counted %d evaluations, evaluator %d", spec, res.Evaluations, st.Evaluations)
+		}
+		if want := st.Evaluations * len(obs); st.StepsPossible != want {
+			t.Errorf("spec %q: StepsPossible = %d, want %d (%d evaluations × %d cases)",
+				spec, st.StepsPossible, want, st.Evaluations, len(obs))
+		}
+		if spec != "" && eng.Quarantines() == 0 {
+			t.Errorf("spec %q quarantined nothing; the test is not exercising panics", spec)
+		}
 	}
 }

@@ -2,22 +2,24 @@ package evalx
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"gmr/internal/expr"
-	"gmr/internal/gp"
 )
 
-// Tests for the lane-batched EvaluateParamBatch path (DESIGN.md §11):
-// short-circuit engagement inside batches, lane telemetry counters, and
-// fault-injection parity with sequential evaluation.
+// Tests for the lane-batched path of EvaluateCluster over parameter sweeps
+// (DESIGN.md §11), the shape champion refinement sends: short-circuit
+// engagement and lane compaction inside batches, lane telemetry counters,
+// and fault-injection parity with sequential evaluation.
 
 // TestLaneBatchShortCircuits commits a short-circuit reference and checks
-// that a parameter batch actually triggers Algorithm 1 early stops on the
-// lane path — the counters that were dormant before this path existed.
+// that a parameter sweep actually triggers Algorithm 1 early stops on the
+// lane path — the counters that were dormant before this path existed —
+// and that the stopped members are compacted out of their launches.
 func TestLaneBatchShortCircuits(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	ind, _ := manualInd(t)
@@ -33,11 +35,11 @@ func TestLaneBatchShortCircuits(t *testing.T) {
 		paramSets[i] = jitterParams(rng, ind.Params)
 	}
 	ev.BeginBatch()
-	out := ev.EvaluateParamBatch(ind, paramSets, nil)
+	out := paramSweep(ev, ind, paramSets)
 	ev.EndBatch()
 
 	for i, r := range out {
-		if r.Full {
+		if r.FullEval {
 			t.Fatalf("member %d ran fully; want short-circuited against the tiny reference", i)
 		}
 		if math.IsInf(r.Fitness, 1) || math.IsNaN(r.Fitness) {
@@ -53,6 +55,9 @@ func TestLaneBatchShortCircuits(t *testing.T) {
 	}
 	if st.StepsEvaluated >= st.StepsPossible {
 		t.Fatalf("short-circuiting saved no steps: %d/%d", st.StepsEvaluated, st.StepsPossible)
+	}
+	if st.LaneCompactions == 0 {
+		t.Fatal("no lane compactions; short-circuited members must drop out of their launches")
 	}
 }
 
@@ -70,7 +75,7 @@ func TestLaneCountersInSnapshot(t *testing.T) {
 		paramSets[i] = jitterParams(rng, ind.Params)
 	}
 	ev.BeginBatch()
-	ev.EvaluateParamBatch(ind, paramSets, nil)
+	paramSweep(ev, ind, paramSets)
 	ev.EndBatch()
 
 	st := ev.Stats()
@@ -110,26 +115,15 @@ func TestLaneBatchMatchesSequentialUnderFaults(t *testing.T) {
 
 		seqEv := New(forcing, obs, consts, faultOpts(t, obs, spec))
 		seqEv.BeginBatch()
-		want := make([]gp.BatchResult, len(paramSets))
-		for i, ps := range paramSets {
-			c := ind.Clone()
-			c.Params = append([]float64(nil), ps...)
-			c.Invalidate()
-			seqEv.Evaluate(c)
-			want[i] = gp.BatchResult{Fitness: c.Fitness, Full: c.FullEval}
-		}
+		want := sequentialSweep(seqEv, ind, paramSets)
 		seqEv.EndBatch()
 
 		batchEv := New(forcing, obs, consts, faultOpts(t, obs, spec))
 		batchEv.BeginBatch()
-		got := batchEv.EvaluateParamBatch(ind, paramSets, nil)
+		got := paramSweep(batchEv, ind, paramSets)
 		batchEv.EndBatch()
 
-		for i := range want {
-			if math.Float64bits(got[i].Fitness) != math.Float64bits(want[i].Fitness) || got[i].Full != want[i].Full {
-				t.Fatalf("structure %d member %d under %q: batch %+v != sequential %+v", si, i, spec, got[i], want[i])
-			}
-		}
+		compareSweeps(t, fmt.Sprintf("structure %d under %q", si, spec), got, want)
 		if a, b := seqEv.Stats(), batchEv.Stats(); a.QuarNaN != b.QuarNaN {
 			t.Fatalf("structure %d: quarantine counts diverged: sequential %d batch %d", si, a.QuarNaN, b.QuarNaN)
 		}

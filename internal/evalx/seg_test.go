@@ -1,6 +1,7 @@
 package evalx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,8 +9,9 @@ import (
 	"gmr/internal/gp"
 )
 
-// Differential and allocation tests for the segmented evaluation path
-// (tier-1.5 exogenous-plan cache + EvaluateParamBatch, DESIGN.md §10).
+// Differential tests for the segmented evaluation path (tier-1.5
+// exogenous-plan cache + parameter sweeps through EvaluateCluster,
+// DESIGN.md §10).
 
 // jitterParams returns a copy of base with every entry nudged by a small
 // deterministic factor.
@@ -19,6 +21,54 @@ func jitterParams(rng *rand.Rand, base []float64) []float64 {
 		ps[i] *= 1 + 0.2*(rng.Float64()-0.5)
 	}
 	return ps
+}
+
+// sweepMembers clones ind once per parameter vector, unevaluated.
+func sweepMembers(ind *gp.Individual, paramSets [][]float64) []*gp.Individual {
+	members := make([]*gp.Individual, len(paramSets))
+	for i, ps := range paramSets {
+		c := ind.Clone()
+		c.Params = append([]float64(nil), ps...)
+		c.Invalidate()
+		members[i] = c
+	}
+	return members
+}
+
+// paramSweep scores ind's structure under every parameter vector the way
+// champion refinement does: resolve each member, then one EvaluateCluster
+// call over the same-structure cluster.
+func paramSweep(ev *Evaluator, ind *gp.Individual, paramSets [][]float64) []*gp.Individual {
+	members := sweepMembers(ind, paramSets)
+	for _, c := range members {
+		ev.ResolveStruct(c)
+	}
+	ev.EvaluateCluster(members)
+	return members
+}
+
+// sequentialSweep is paramSweep's reference: one scalar Evaluate per member.
+func sequentialSweep(ev *Evaluator, ind *gp.Individual, paramSets [][]float64) []*gp.Individual {
+	members := sweepMembers(ind, paramSets)
+	for _, c := range members {
+		ev.Evaluate(c)
+	}
+	return members
+}
+
+// compareSweeps asserts bitwise-equal fitnesses and equal full-evaluation
+// flags, member by member.
+func compareSweeps(t *testing.T, label string, got, want []*gp.Individual) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d cluster results, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i].Fitness) != math.Float64bits(want[i].Fitness) || got[i].FullEval != want[i].FullEval {
+			t.Fatalf("%s member %d: cluster (%v, full=%v) != sequential (%v, full=%v)", label, i,
+				got[i].Fitness, got[i].FullEval, want[i].Fitness, want[i].FullEval)
+		}
+	}
 }
 
 // TestSegmentedMatchesMonolithic: over grammar-derived random structures ×
@@ -77,10 +127,10 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestEvaluateParamBatchMatchesSequential: batch evaluation of N parameter
+// TestClusterParamSweepMatchesSequential: one cluster of N parameter
 // vectors over one structure must reproduce N sequential Evaluate calls
 // bitwise, fitness and full-evaluation flags alike.
-func TestEvaluateParamBatchMatchesSequential(t *testing.T) {
+func TestClusterParamSweepMatchesSequential(t *testing.T) {
 	forcing, obs, consts := smallData(t)
 	_, g := manualInd(t)
 	opts := Options{UseCache: true, UseCompile: true, Simplify: true, UseShortCircuit: true, Sim: simCfg(obs)}
@@ -95,111 +145,20 @@ func TestEvaluateParamBatchMatchesSequential(t *testing.T) {
 
 		seqEv := New(forcing, obs, consts, opts)
 		seqEv.BeginBatch()
-		want := make([]gp.BatchResult, len(paramSets))
-		for i, ps := range paramSets {
-			c := ind.Clone()
-			c.Params = append([]float64(nil), ps...)
-			c.Invalidate()
-			seqEv.Evaluate(c)
-			want[i] = gp.BatchResult{Fitness: c.Fitness, Full: c.FullEval}
-		}
+		want := sequentialSweep(seqEv, ind, paramSets)
 		seqEv.EndBatch()
 
 		batchEv := New(forcing, obs, consts, opts)
 		batchEv.BeginBatch()
-		got := batchEv.EvaluateParamBatch(ind, paramSets, nil)
+		got := paramSweep(batchEv, ind, paramSets)
 		batchEv.EndBatch()
 
-		if len(got) != len(want) {
-			t.Fatalf("structure %d: %d batch results, want %d", si, len(got), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(got[i].Fitness) != math.Float64bits(want[i].Fitness) || got[i].Full != want[i].Full {
-				t.Fatalf("structure %d member %d: batch %+v != sequential %+v", si, i, got[i], want[i])
-			}
-		}
+		compareSweeps(t, fmt.Sprintf("structure %d", si), got, want)
 		// The short-circuiting reference must end up identical, so later
 		// decisions cannot drift between the two modes.
 		if a, b := seqEv.ShortCircuitRef(), batchEv.ShortCircuitRef(); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("structure %d: short-circuit refs diverged: sequential %v batch %v", si, a, b)
 		}
-	}
-}
-
-// TestEvaluateParamBatchCacheDiscipline: the batch path reads the tier-2
-// cache but never writes it — repeating a batch re-simulates (no
-// self-inflicted cache growth), while entries inserted by sequential
-// Evaluate calls are served to batch members.
-func TestEvaluateParamBatchCacheDiscipline(t *testing.T) {
-	forcing, obs, consts := smallData(t)
-	ind, _ := manualInd(t)
-	opts := Options{UseCache: true, UseCompile: true, Simplify: true, Sim: simCfg(obs)}
-	ev := New(forcing, obs, consts, opts)
-
-	rng := rand.New(rand.NewSource(31))
-	paramSets := make([][]float64, 8)
-	for i := range paramSets {
-		paramSets[i] = jitterParams(rng, ind.Params)
-	}
-	ev.BeginBatch()
-	r1 := ev.EvaluateParamBatch(ind, paramSets, nil)
-	if hits := ev.Stats().CacheHits; hits != 0 {
-		t.Fatalf("first batch had %d tier-2 hits, want 0", hits)
-	}
-	r2 := ev.EvaluateParamBatch(ind, paramSets, nil)
-	if hits := ev.Stats().CacheHits; hits != 0 {
-		t.Fatalf("repeat batch had %d tier-2 hits; the batch path must not insert", hits)
-	}
-	for i := range r1 {
-		if math.Float64bits(r1[i].Fitness) != math.Float64bits(r2[i].Fitness) {
-			t.Fatalf("member %d: repeat batch diverged: %v vs %v", i, r1[i].Fitness, r2[i].Fitness)
-		}
-	}
-
-	// A sequential evaluation inserts; the next batch over the same params
-	// is served from tier 2.
-	c := ind.Clone()
-	c.Params = append([]float64(nil), paramSets[0]...)
-	c.Invalidate()
-	ev.Evaluate(c)
-	ev.EvaluateParamBatch(ind, paramSets[:1], nil)
-	if hits := ev.Stats().CacheHits; hits != 1 {
-		t.Fatalf("batch after sequential warm-up had %d tier-2 hits, want 1", hits)
-	}
-	ev.EndBatch()
-
-	st := ev.Stats()
-	if st.BatchCalls != 3 || st.BatchMembers != 8+8+1 {
-		t.Fatalf("batch counters calls=%d members=%d; want 3 and 17", st.BatchCalls, st.BatchMembers)
-	}
-}
-
-// TestBatchSteadyStateZeroAllocs: once the structure is resolved, the plan
-// built, and the scratch warm, EvaluateParamBatch must be allocation-free —
-// the acceptance criterion for the parameter-sweep hot path.
-func TestBatchSteadyStateZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counting is unreliable under the race detector")
-	}
-	forcing, obs, consts := smallData(t)
-	ind, _ := manualInd(t)
-	opts := Options{UseCache: true, UseCompile: true, Simplify: true, Sim: simCfg(obs)}
-	ev := New(forcing, obs, consts, opts)
-
-	rng := rand.New(rand.NewSource(37))
-	paramSets := make([][]float64, 8)
-	for i := range paramSets {
-		paramSets[i] = jitterParams(rng, ind.Params)
-	}
-	out := make([]gp.BatchResult, 0, len(paramSets))
-	ev.BeginBatch()
-	defer ev.EndBatch()
-	ev.EvaluateParamBatch(ind, paramSets, out) // warm: derive, compile, plan, scratch
-	allocs := testing.AllocsPerRun(20, func() {
-		ev.EvaluateParamBatch(ind, paramSets, out[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state EvaluateParamBatch allocates %.1f objects/run; want 0", allocs)
 	}
 }
 

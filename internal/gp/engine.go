@@ -64,16 +64,6 @@ type Config struct {
 	// (model calibration inside model revision). Zero means
 	// 4×LocalSearchSteps; negative disables refinement.
 	EliteRefineSteps int
-	// RefineBatch is λ of the batched (1+λ) champion-refinement strategy:
-	// when the evaluator implements BatchEvaluator, each refinement round
-	// draws λ Gaussian proposals from the current champion and scores the
-	// parameter-only ones through EvaluateParamBatch in fixed-size chunks
-	// fanned across the worker pool, amortizing structure resolution and
-	// exogenous hoisting over the sweep (DESIGN.md §10). Zero means 8;
-	// 1 (or a plain Evaluator) reproduces the sequential hill-climbing
-	// chain. The chunk partition is worker-count independent, so results
-	// are deterministic for a fixed Config.
-	RefineBatch int
 	// Priors are the per-parameter Gaussian-mutation priors, aligned
 	// with Individual.Params.
 	Priors []Prior
@@ -87,13 +77,6 @@ type Config struct {
 	// expert parameter values that model revision receives as input
 	// along with the initial structure).
 	InitParams []float64
-	// NoCluster disables the structure-clustered population scheduler
-	// (DESIGN.md §14): every individual becomes a singleton cluster, so
-	// generation evaluation runs through the scalar path of the identical
-	// code path (the -nocluster ablation). It changes performance only;
-	// fitnesses, quarantine decisions, and RNG streams are bitwise
-	// identical either way.
-	NoCluster bool
 	// SeedIndividuals are cloned into the initial population before the
 	// random derivations are drawn (e.g. the unrevised input process
 	// itself, so the search starts no worse than its knowledge-based
@@ -158,12 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.EliteRefineSteps < 0 {
 		c.EliteRefineSteps = 0
 	}
-	if c.RefineBatch == 0 {
-		c.RefineBatch = 8
-	}
-	if c.RefineBatch < 1 {
-		c.RefineBatch = 1
-	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -187,7 +164,7 @@ type Result struct {
 	Final []*Individual
 	// History holds per-generation statistics.
 	History []GenStats
-	// Evaluations counts Evaluate calls issued by the engine.
+	// Evaluations counts the evaluations issued by the engine.
 	Evaluations int
 }
 
@@ -202,10 +179,7 @@ type Engine struct {
 	cfg  Config
 	g    *tag.Grammar
 	eval Evaluator
-	// ce is eval's ClusterEvaluator facet, resolved once at construction;
-	// nil when eval does not implement it (legacy per-individual dispatch).
-	ce  ClusterEvaluator
-	rng *stats.RNG
+	rng  *stats.RNG
 
 	// Cluster-partition scratch, reused across generations so the
 	// steady-state dispatch path of evaluatePop allocates nothing: the
@@ -230,8 +204,12 @@ type Engine struct {
 	history []GenStats
 
 	// jobCh feeds the persistent evaluation worker pool; non-nil only
-	// between Start and Close (see startWorkers).
+	// between Start and Close (see startWorkers). jobWG joins one phase of
+	// dispatched jobs and jobEvals counts the evaluations they ran; only
+	// the stepping goroutine dispatches, one phase at a time.
 	jobCh       chan evalJob
+	jobWG       sync.WaitGroup
+	jobEvals    atomic.Int64
 	workerWG    sync.WaitGroup
 	stopWorkers func()
 
@@ -279,22 +257,17 @@ func (e *Engine) noteProgress() {
 }
 
 // evalJob is one unit of work for the evaluation worker pool: a
-// self-contained closure (run, used by batched champion refinement to score
-// a chunk of parameter proposals), a structure-resolution job (resolve,
-// phase 0 of the clustered scheduler), a same-structure cluster chunk to
-// lane-batch (cluster, phase 1), or an individual to evaluate followed by
-// the optional follow-up (local search) with the job's pre-split RNG
-// stream. resolve and cluster are plain fields rather than closures so the
-// per-generation dispatch allocates nothing.
+// structure-resolution job (resolve, phase 0 of evaluateClusters), a
+// same-structure cluster chunk (cluster, phase 1), or the follow-up (local
+// search) of an evaluated individual with the job's pre-split RNG stream.
+// The fields are plain values rather than closures so the per-generation
+// dispatch allocates nothing.
 type evalJob struct {
+	resolve  *Individual
+	cluster  []*Individual
 	ind      *Individual
 	rng      *rand.Rand
 	followUp func(*Individual, *rand.Rand) int
-	run      func() int
-	resolve  *Individual
-	cluster  []*Individual
-	wg       *sync.WaitGroup
-	evals    *atomic.Int64
 }
 
 // startWorkers launches the persistent evaluation workers for one Run.
@@ -323,60 +296,41 @@ func (e *Engine) startWorkers() func() {
 }
 
 // runJob executes one worker-pool job with panic isolation: whatever
-// happens inside the evaluation or its follow-up, wg.Done always runs, so a
-// panicking candidate can never deadlock the generation barrier or kill the
-// batch. Evaluation panics are contained per-individual by safeEvaluate;
-// this outer recover is the backstop for panics escaping the follow-up
+// happens inside the job, jobWG.Done always runs, so a panicking candidate
+// can never deadlock the phase barrier or kill the batch. Evaluation panics
+// are contained per member by runCluster; this outer recover is the
+// backstop for panics escaping structure resolution or the follow-up
 // closure itself. Isolation preserves the Workers=1-vs-N determinism
 // contract because a panic decision is a property of the individual being
 // evaluated, not of scheduling.
 func (e *Engine) runJob(j evalJob) {
-	n := 0
-	defer j.wg.Done()
+	defer e.jobWG.Done()
 	defer func() {
-		if r := recover(); r != nil {
-			if j.ind != nil {
-				e.quarantine(j.ind)
-			}
-			j.evals.Add(int64(n))
+		if r := recover(); r != nil && j.ind != nil {
+			e.quarantine(j.ind)
 		}
 	}()
-	if j.run != nil {
-		n = j.run()
-		j.evals.Add(int64(n))
-		return
-	}
-	if j.resolve != nil {
-		e.ce.ResolveStruct(j.resolve)
-		return
-	}
-	if j.cluster != nil {
+	switch {
+	case j.resolve != nil:
+		e.eval.ResolveStruct(j.resolve)
+	case j.cluster != nil:
 		e.runCluster(j.cluster)
-		n = len(j.cluster)
-		j.evals.Add(int64(n))
-		return
+		e.jobEvals.Add(int64(len(j.cluster)))
+	default:
+		e.jobEvals.Add(int64(j.followUp(j.ind, j.rng)))
 	}
-	if !j.ind.Evaluated {
-		e.safeEvaluate(j.ind)
-		n++
-	}
-	if j.followUp != nil {
-		n += j.followUp(j.ind, j.rng)
-	}
-	j.evals.Add(int64(n))
 }
 
-// safeEvaluate runs one evaluation with panic isolation: a panicking
-// evaluator (an injected fault or a genuine bug in a pathological
-// candidate) is recovered and the individual is quarantined with +Inf
-// fitness, so selection discards it and the run continues.
-func (e *Engine) safeEvaluate(ind *Individual) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.quarantine(ind)
-		}
-	}()
-	e.eval.Evaluate(ind)
+// dispatch hands one job to the worker pool; wait joins every job
+// dispatched since the last wait and credits the evaluations they ran.
+func (e *Engine) dispatch(j evalJob) {
+	e.jobWG.Add(1)
+	e.jobCh <- j
+}
+
+func (e *Engine) wait() {
+	e.jobWG.Wait()
+	e.evaluations += int(e.jobEvals.Swap(0))
 }
 
 // quarantine marks an individual whose evaluation panicked: +Inf fitness
@@ -409,7 +363,6 @@ func NewEngine(g *tag.Grammar, eval Evaluator, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("gp: population size %d too small", cfg.PopSize)
 	}
 	e := &Engine{cfg: cfg, g: g, eval: eval, rng: stats.NewRNG(cfg.Seed)}
-	e.ce, _ = eval.(ClusterEvaluator)
 	e.obsBest.Store(math.Float64bits(math.Inf(1)))
 	return e, nil
 }
@@ -585,7 +538,7 @@ func (e *Engine) Population() []*Individual { return e.pop }
 // Best returns the best-ever individual (engine-owned; treat as read-only).
 func (e *Engine) Best() *Individual { return e.best }
 
-// Evaluations returns the cumulative number of Evaluate calls issued.
+// Evaluations returns the cumulative number of evaluations issued.
 func (e *Engine) Evaluations() int { return e.evaluations }
 
 // LastStats returns the most recent generation's statistics.
@@ -673,6 +626,7 @@ func (e *Engine) pickOperator() operator {
 // step with parameter steps inside the same search chain.
 func (e *Engine) localSearch(ind *Individual, rng *rand.Rand) int {
 	evals := 0
+	var one [1]*Individual
 	for step := 0; step < e.cfg.LocalSearchSteps; step++ {
 		var cand *Individual
 		switch rng.Intn(3) {
@@ -686,7 +640,11 @@ func (e *Engine) localSearch(ind *Individual, rng *rand.Rand) int {
 		if cand == nil {
 			continue
 		}
-		e.safeEvaluate(cand) // a panicking candidate is +Inf: never adopted
+		// A cluster of 1: runCluster quarantines a panicking candidate
+		// with +Inf, so it is never adopted.
+		one[0] = cand
+		e.eval.ResolveStruct(cand)
+		e.runCluster(one[:])
 		evals++
 		if cand.Fitness < ind.Fitness {
 			*ind = *cand
@@ -720,18 +678,14 @@ func (e *Engine) better(a, b *Individual) bool {
 }
 
 // refineElite hill-climbs the constants of the generation's champion with
-// annealed Gaussian steps, adopting only improvements.
-//
-// With a BatchEvaluator and RefineBatch > 1 it runs as a batched (1+λ)
-// evolution strategy: each round draws λ proposals from the current
-// champion under the same annealing schedule (scales indexed by global
-// proposal number), scores the parameter-only proposals through
-// EvaluateParamBatch in fixed-size chunks fanned across the worker pool
-// (amortizing structure resolution and exogenous hoisting over the sweep,
-// DESIGN.md §10), evaluates structural proposals (literal perturbations)
-// individually, and adopts the best improving proposal — the lowest index
-// on ties, matching in-order sequential adoption. RefineBatch=1 or a plain
-// Evaluator reproduces the sequential hill-climbing chain.
+// annealed Gaussian steps, adopting only improvements. It runs as a (1+λ)
+// evolution strategy with λ = laneChunk: each round draws λ proposals from
+// the current champion under the same annealing schedule (scales indexed
+// by global proposal number), scores them with one evaluateClusters pass —
+// the parameter-only proposals share the champion's structure key and
+// form one lane-batched cluster, literal perturbations resolve to their
+// own — and adopts the best improving proposal, the lowest index on ties,
+// matching in-order sequential adoption.
 func (e *Engine) refineElite(ind *Individual, sigma float64) {
 	steps := e.cfg.EliteRefineSteps
 	if steps <= 0 {
@@ -739,32 +693,14 @@ func (e *Engine) refineElite(ind *Individual, sigma float64) {
 	}
 	e.eval.BeginBatch()
 	defer e.eval.EndBatch()
-	be, batched := e.eval.(BatchEvaluator)
-	if lam := e.cfg.RefineBatch; !batched || lam <= 1 {
-		for step := 0; step < steps; step++ {
-			scale := sigma * (0.5 - 0.4*float64(step)/float64(steps))
-			cand := GaussianMutation(e.rng.Rand, ind, e.cfg.Priors, scale, e.cfg.GaussPerParam)
-			e.safeEvaluate(cand) // panic isolation: +Inf candidates are rejected
-			e.evaluations++
-			if cand.Fitness < ind.Fitness {
-				*ind = *cand
-			}
-		}
-		return
-	}
-	cands := make([]*Individual, 0, e.cfg.RefineBatch)
+	cands := make([]*Individual, 0, laneChunk)
 	for done := 0; done < steps; done += len(cands) {
-		n := e.cfg.RefineBatch
-		if steps-done < n {
-			n = steps - done
-		}
 		cands = cands[:0]
-		for i := 0; i < n; i++ {
+		for i := 0; i < min(laneChunk, steps-done); i++ {
 			scale := sigma * (0.5 - 0.4*float64(done+i)/float64(steps))
 			cands = append(cands, GaussianMutation(e.rng.Rand, ind, e.cfg.Priors, scale, e.cfg.GaussPerParam))
 		}
-		e.evaluateProposals(be, ind, cands)
-		e.evaluations += n // one evaluation per proposal, as in the sequential chain
+		e.evaluateClusters(cands)
 		for _, cand := range cands {
 			if cand.Fitness < ind.Fitness {
 				*ind = *cand
@@ -773,91 +709,15 @@ func (e *Engine) refineElite(ind *Individual, sigma float64) {
 	}
 }
 
-// laneChunk is the fan-out granularity of batched evaluation: both champion
-// refinement and the clustered population scheduler split same-structure
-// member lists into chunks of this size, each dispatched to the worker pool
-// as one job. The size matches expr.Lanes so each chunk fills one
+// laneChunk is the fan-out granularity of clustered evaluation: same-
+// structure member lists are split into chunks of this size, each
+// dispatched to the worker pool as one job, and it is λ of champion
+// refinement. The size matches expr.Lanes so each chunk fills one
 // lane-batched kernel dispatch, and it is a constant (never derived from
 // Workers), so the work partition — and therefore every evaluated fitness —
 // is identical for any worker count, preserving the Workers=1-vs-N
 // determinism contract.
 const laneChunk = 8
-
-// evaluateProposals scores one round of refinement proposals. Proposals
-// that kept the champion's memoized structure key are parameter-only moves
-// over one structure and go through the batch API in laneChunk-sized
-// chunks; literal perturbations (cleared key) need the full per-individual
-// pipeline and are dispatched as ordinary evaluation jobs.
-func (e *Engine) evaluateProposals(be BatchEvaluator, base *Individual, cands []*Individual) {
-	var batch, solo []*Individual
-	if key := base.StructKey(); key != "" {
-		for _, c := range cands {
-			if c.StructKey() == key {
-				batch = append(batch, c)
-			} else {
-				solo = append(solo, c)
-			}
-		}
-	} else {
-		solo = cands
-	}
-	var wg sync.WaitGroup
-	var evals atomic.Int64 // refineElite counts proposals deterministically; this absorbs job accounting
-	for start := 0; start < len(batch); start += laneChunk {
-		end := start + laneChunk
-		if end > len(batch) {
-			end = len(batch)
-		}
-		chunk := batch[start:end]
-		wg.Add(1)
-		e.jobCh <- evalJob{wg: &wg, evals: &evals, run: func() int {
-			e.runParamChunk(be, base, chunk)
-			return len(chunk)
-		}}
-	}
-	for _, c := range solo {
-		wg.Add(1)
-		e.jobCh <- evalJob{ind: c, wg: &wg, evals: &evals}
-	}
-	wg.Wait()
-}
-
-// runParamChunk scores one chunk of parameter-only proposals through the
-// batch API. A panic inside the batch call (e.g. injected faults) aborts
-// the whole chunk, so the recovery path re-scores the members individually:
-// fault decisions are pure functions of the per-member site hash, so
-// safeEvaluate re-encounters the injected panic at exactly the offending
-// member and quarantines only it — batched results stay identical to
-// sequential ones even under fault injection.
-func (e *Engine) runParamChunk(be BatchEvaluator, base *Individual, chunk []*Individual) {
-	params := make([][]float64, len(chunk))
-	for i, c := range chunk {
-		params[i] = c.Params
-	}
-	results := make([]BatchResult, 0, len(chunk))
-	ok := func() (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				ok = false
-			}
-		}()
-		results = be.EvaluateParamBatch(base, params, results)
-		return true
-	}()
-	if ok && len(results) == len(chunk) {
-		for i, c := range chunk {
-			c.Fitness = results[i].Fitness
-			c.Evaluated = true
-			c.FullEval = results[i].Full
-		}
-		return
-	}
-	for _, c := range chunk {
-		if !c.Evaluated {
-			e.safeEvaluate(c)
-		}
-	}
-}
 
 // evaluatePop evaluates all unevaluated individuals on the persistent
 // worker pool (one batch: shared evaluator state is frozen) and then runs
@@ -865,22 +725,11 @@ func (e *Engine) runParamChunk(be BatchEvaluator, base *Individual, chunk []*Ind
 // batch. RNG streams are pre-split per individual, in population order and
 // before any job is dispatched, so the run is deterministic regardless of
 // scheduling and worker count.
-//
-// With a ClusterEvaluator the batch runs through the structure-clustered
-// scheduler (DESIGN.md §14): resolve+memoize every structure key in
-// parallel, partition the population by key, and score each cluster through
-// the lane-batched kernel in laneChunk-sized jobs. The partition depends
-// only on the memoized keys (fixed before any evaluation is dispatched),
-// and per-member semantics inside a cluster equal sequential scalar
-// evaluation, so fitnesses stay bitwise identical to the per-individual
-// path for any worker count.
 func (e *Engine) evaluatePop(pop []*Individual, followUp func(*Individual, *rand.Rand) int) {
 	// The per-individual RNG streams feed only the follow-up (local
 	// search), and splitting one stream per member is measurable against a
 	// lane-batched evaluation, so the split is skipped entirely when there
-	// is no follow-up. The gate sits before the mode branch: both
-	// scheduler modes draw the identical streams (or none), preserving
-	// worker-count and cluster/scalar bitwise parity.
+	// is no follow-up.
 	var rngs []*rand.Rand
 	if followUp != nil {
 		rngs = make([]*rand.Rand, len(pop))
@@ -889,89 +738,59 @@ func (e *Engine) evaluatePop(pop []*Individual, followUp func(*Individual, *rand
 		}
 	}
 	e.eval.BeginBatch()
-	var wg sync.WaitGroup
-	var evals atomic.Int64
-	if e.ce == nil {
-		wg.Add(len(pop))
+	e.evaluateClusters(pop)
+	// Phase 2: the follow-up (local search) runs per individual with the
+	// pre-split RNG streams.
+	if followUp != nil {
 		for i, ind := range pop {
-			var rng *rand.Rand
-			if rngs != nil {
-				rng = rngs[i]
-			}
-			e.jobCh <- evalJob{ind: ind, rng: rng, followUp: followUp, wg: &wg, evals: &evals}
+			e.dispatch(evalJob{ind: ind, rng: rngs[i], followUp: followUp})
 		}
-		wg.Wait()
-		e.eval.EndBatch()
-		e.evaluations += int(evals.Load())
-		return
+		e.wait()
 	}
+	e.eval.EndBatch()
+}
+
+// evaluateClusters scores every unevaluated individual of inds through the
+// structure-clustered scheduler (DESIGN.md §14): resolve and memoize every
+// structure key in parallel, partition by key, and score each cluster in
+// laneChunk-sized jobs. The partition depends only on the memoized keys
+// (fixed before any evaluation is dispatched), and per-member semantics
+// inside a cluster equal one-by-one evaluation, so fitnesses are bitwise
+// identical for any worker count. The caller owns the batch hooks.
+func (e *Engine) evaluateClusters(inds []*Individual) {
 	// Phase 0: resolve and memoize every unevaluated individual's structure
-	// key in parallel. This is the counted resolution step of a scalar
-	// Evaluate call (tier-1 hit or derive+compile), hoisted ahead of the
-	// partition; EvaluateCluster will not resolve again.
-	for _, ind := range pop {
-		if ind.Evaluated {
-			continue
+	// key in parallel. EvaluateCluster will not resolve again.
+	for _, ind := range inds {
+		if !ind.Evaluated {
+			e.dispatch(evalJob{resolve: ind})
 		}
-		wg.Add(1)
-		e.jobCh <- evalJob{resolve: ind, wg: &wg, evals: &evals}
 	}
-	wg.Wait()
-	// Phase 1: partition by memoized key (population order, first-seen
-	// cluster order — worker-count independent) and fan each cluster out in
+	e.wait()
+	// Phase 1: partition by memoized key (input order, first-seen cluster
+	// order — worker-count independent) and fan each cluster out in
 	// laneChunk-sized jobs, one lane-batched kernel dispatch per job.
-	order, ends := e.clusterPop(pop)
+	order, ends := e.clusterPop(inds)
 	start := 0
 	for _, end := range ends {
 		cluster := order[start:end]
 		start = end
 		for cs := 0; cs < len(cluster); cs += laneChunk {
-			chunk := cluster[cs:min(cs+laneChunk, len(cluster))]
-			wg.Add(1)
-			e.jobCh <- evalJob{cluster: chunk, wg: &wg, evals: &evals}
+			e.dispatch(evalJob{cluster: cluster[cs:min(cs+laneChunk, len(cluster))]})
 		}
 	}
-	wg.Wait()
-	// Phase 2: the follow-up (local search) runs per individual with the
-	// pre-split RNG streams, exactly as on the per-individual path.
-	if followUp != nil {
-		wg.Add(len(pop))
-		for i, ind := range pop {
-			e.jobCh <- evalJob{ind: ind, rng: rngs[i], followUp: followUp, wg: &wg, evals: &evals}
-		}
-		wg.Wait()
-	}
-	e.eval.EndBatch()
-	e.evaluations += int(evals.Load())
+	e.wait()
 }
 
 // clusterPop partitions the population's unevaluated individuals into
 // same-structure clusters: members sharing a memoized structure key group
 // together (population order within a cluster, first-seen order across
 // clusters); key-less individuals (failed derivations) are singletons.
-// Under Config.NoCluster every individual is a singleton, which routes the
-// whole generation through EvaluateCluster's scalar path — the ablation
-// exercises the identical code path minus the lane batching.
 // The partition is returned as a flat cluster-grouped member order plus
 // per-cluster end offsets, built in reusable engine scratch — the steady
 // state allocates nothing.
 func (e *Engine) clusterPop(pop []*Individual) (order []*Individual, ends []int) {
 	counts := e.clusterCounts[:0]
 	ids := e.clusterID[:0]
-	if e.cfg.NoCluster {
-		order = e.clusterOrder[:0]
-		ends = e.clusterEnds[:0]
-		for _, ind := range pop {
-			if ind.Evaluated {
-				continue
-			}
-			order = append(order, ind)
-			ends = append(ends, len(order))
-			e.ce.NoteCluster(1)
-		}
-		e.clusterOrder, e.clusterEnds = order, ends
-		return order, ends
-	}
 	if e.clusterIdx == nil {
 		e.clusterIdx = make(map[string]int, len(pop))
 	} else {
@@ -1003,7 +822,7 @@ func (e *Engine) clusterPop(pop []*Individual) (order []*Individual, ends []int)
 	cur := e.clusterCur[:0]
 	off := 0
 	for _, c := range counts {
-		e.ce.NoteCluster(c)
+		e.eval.NoteCluster(c)
 		cur = append(cur, off)
 		off += c
 		ends = append(ends, off)
@@ -1031,10 +850,10 @@ func (e *Engine) clusterPop(pop []*Individual) (order []*Individual, ends []int)
 }
 
 // runCluster scores one cluster chunk with panic isolation. EvaluateCluster
-// commits every member preceding a panicking one (see the ClusterEvaluator
-// panic protocol), so on recovery the first still-unevaluated member is the
-// panicker: quarantine it — same decision, same +Inf as the scalar path's
-// safeEvaluate — and re-invoke on the remainder until the chunk is done.
+// commits every member preceding a panicking one (see the Evaluator panic
+// protocol), so on recovery the first still-unevaluated member is the
+// panicker: quarantine it with +Inf and re-invoke on the remainder until
+// the chunk is done.
 func (e *Engine) runCluster(chunk []*Individual) {
 	for {
 		ok := func() (ok bool) {
@@ -1043,7 +862,7 @@ func (e *Engine) runCluster(chunk []*Individual) {
 					ok = false
 				}
 			}()
-			e.ce.EvaluateCluster(chunk)
+			e.eval.EvaluateCluster(chunk)
 			return true
 		}()
 		if ok {
@@ -1067,9 +886,8 @@ func (e *Engine) runCluster(chunk []*Individual) {
 }
 
 // EvaluatePopulation evaluates every unevaluated individual of pop through
-// the engine's generation evaluation path (the clustered scheduler when the
-// evaluator supports it, per-individual jobs otherwise), launching the
-// worker pool if Start has not run. With no follow-up it draws no RNG
+// the engine's generation evaluation path (the clustered scheduler),
+// launching the worker pool if Start has not run. With no follow-up it draws no RNG
 // splits, exactly like a generation's evaluation phase. Exported for
 // benchmarks and differential tests that drive the population path without
 // a full run; call Close to release the pool.

@@ -25,6 +25,8 @@ func (p *panicEvaluator) site(ind *Individual) uint64 {
 	return faultinject.HashFloats(faultinject.HashString(derived.String()), ind.Params)
 }
 
+func (p *panicEvaluator) EvaluateCluster(c []*Individual) { evaluateEach(c, p.Evaluate) }
+
 func (p *panicEvaluator) Evaluate(ind *Individual) {
 	if p.inj.Hit(faultinject.Panic, p.site(ind)) {
 		panic(faultinject.InjectedPanic{Site: "gp.test", Hash: p.site(ind)})

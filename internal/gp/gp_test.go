@@ -36,8 +36,23 @@ type valueEvaluator struct {
 	evals  atomic.Int64 // the engine evaluates batches concurrently
 }
 
-func (v *valueEvaluator) BeginBatch() {}
-func (v *valueEvaluator) EndBatch()   {}
+func (v *valueEvaluator) BeginBatch()                     {}
+func (v *valueEvaluator) EndBatch()                       {}
+func (v *valueEvaluator) ResolveStruct(*Individual)       {}
+func (v *valueEvaluator) NoteCluster(int)                 {}
+func (v *valueEvaluator) EvaluateCluster(c []*Individual) { evaluateEach(c, v.Evaluate) }
+
+// evaluateEach scores a cluster's unevaluated members one by one in slice
+// order, so a panic escapes with every earlier member committed: the
+// Evaluator panic protocol, for free.
+func evaluateEach(inds []*Individual, eval func(*Individual)) {
+	for _, ind := range inds {
+		if !ind.Evaluated {
+			eval(ind)
+		}
+	}
+}
+
 func (v *valueEvaluator) Evaluate(ind *Individual) {
 	v.evals.Add(1)
 	derived, err := ind.Deriv.Derive()
@@ -388,6 +403,10 @@ func TestEliteRefineOnlyImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Refinement scores its proposals on the worker pool, which Start
+	// launches in a run.
+	eng.stopWorkers = eng.startWorkers()
+	defer eng.Close()
 	ind := makeIndividual(t, g, 8, 2, 5)
 	ev.Evaluate(ind)
 	before := ind.Fitness

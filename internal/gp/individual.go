@@ -104,71 +104,38 @@ func (ind *Individual) RLiterals() []*expr.Node {
 	return lits
 }
 
-// Evaluator scores individuals. Implementations must be safe for
-// concurrent Evaluate calls between BeginBatch and EndBatch; the engine
-// freezes any shared evaluation state (e.g. the short-circuiting
-// threshold's best-previous-full fitness) across a batch by calling the
-// batch hooks.
+// Evaluator scores individuals. It is the engine's one evaluation
+// contract: every evaluation the engine issues — the generation's
+// population, the champion-refinement proposals and the local-search
+// candidates — is resolved with ResolveStruct, partitioned by memoized
+// structure key, and scored with EvaluateCluster one same-structure chunk
+// at a time; a lone candidate is a cluster of 1 (DESIGN.md §14).
+// Implementations must be safe for concurrent calls between BeginBatch
+// and EndBatch; the engine freezes any shared evaluation state (e.g. the
+// short-circuiting threshold's best-previous-full fitness) across a batch
+// by calling the batch hooks.
 type Evaluator interface {
 	// BeginBatch snapshots shared state for a deterministic batch.
 	BeginBatch()
-	// Evaluate computes and stores the individual's fitness.
-	Evaluate(ind *Individual)
 	// EndBatch commits state accumulated during the batch.
 	EndBatch()
-}
-
-// BatchResult is the outcome of one member of a parameter-sweep batch
-// (see BatchEvaluator).
-type BatchResult struct {
-	// Fitness is the member's training fitness (lower is better).
-	Fitness float64
-	// Full reports whether every fitness case was simulated (false when
-	// the evaluation was short-circuited).
-	Full bool
-}
-
-// BatchEvaluator is optionally implemented by evaluators that can score
-// many parameter vectors against a single individual's structure in one
-// call, amortizing structure resolution and loop-invariant (exogenous)
-// hoisting across the whole sweep (see evalx.EvaluateParamBatch and
-// DESIGN.md §10). The engine uses it to batch champion refinement; plain
-// Evaluators fall back to sequential evaluation.
-type BatchEvaluator interface {
-	Evaluator
-	// EvaluateParamBatch scores ind's structure under each parameter
-	// vector, appending one BatchResult per vector to out and returning
-	// it. It must be equivalent to evaluating len(params) copies of ind
-	// with the respective parameter vectors (same fitness, same fault
-	// behavior), and safe for concurrent calls between BeginBatch and
-	// EndBatch. It must not mutate ind.
-	EvaluateParamBatch(ind *Individual, params [][]float64, out []BatchResult) []BatchResult
-}
-
-// ClusterEvaluator is optionally implemented by batch evaluators that can
-// score whole same-structure clusters of individuals in one call. The
-// engine's generation loop uses it to partition each population by memoized
-// structure key and dispatch every cluster through the lane-batched kernel
-// (DESIGN.md §14); evaluators without it fall back to per-individual jobs.
-type ClusterEvaluator interface {
-	BatchEvaluator
-	// ResolveStruct resolves the individual's executable structure through
-	// the evaluator's structure cache and memoizes the canonical key on the
-	// individual (StructKey), without simulating. It must count exactly the
-	// resolution work that the front of a plain Evaluate call would count,
-	// because EvaluateCluster skips that step: one ResolveStruct followed by
-	// one EvaluateCluster must leave the same counter trail as Evaluate.
+	// ResolveStruct resolves the individual's executable structure and
+	// memoizes its canonical key on the individual (StructKey), without
+	// simulating. Individuals left without a key are scored as singleton
+	// clusters, so an evaluator with no structure cache may make it a
+	// no-op. Whatever it counts, EvaluateCluster must not count again:
+	// one ResolveStruct followed by one EvaluateCluster is one evaluation.
 	ResolveStruct(ind *Individual)
 	// NoteCluster records one scheduled evaluation cluster of the given
-	// size (telemetry only: cluster counts, scalar fallbacks, and the
+	// size (telemetry only: cluster counts, singleton fallbacks, and the
 	// cluster-size histogram).
 	NoteCluster(size int)
 	// EvaluateCluster scores the unevaluated individuals of one cluster —
 	// all sharing one memoized structure key, or a single key-less
-	// individual — with semantics equivalent to sequential Evaluate calls
-	// in slice order: identical fitnesses, quarantine classification,
-	// fault-injection sites, and tier-2 cache interactions. Already
-	// evaluated members are skipped.
+	// individual — with semantics equivalent to scoring them one by one in
+	// slice order: identical fitnesses, quarantine classification,
+	// fault-injection sites, and cache interactions. Already evaluated
+	// members are skipped.
 	//
 	// Panic protocol: when a member's evaluation panics (injected faults),
 	// the implementation commits every earlier member's result before the

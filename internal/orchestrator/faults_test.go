@@ -34,6 +34,8 @@ func (c *chaosEvaluator) site(ind *gp.Individual) uint64 {
 	return faultinject.HashFloats(faultinject.HashString(derived.String()), ind.Params)
 }
 
+func (c *chaosEvaluator) EvaluateCluster(inds []*gp.Individual) { evaluateEach(inds, c.Evaluate) }
+
 func (c *chaosEvaluator) Evaluate(ind *gp.Individual) {
 	h := c.site(ind)
 	if c.inj.Hit(faultinject.Panic, h) {

@@ -43,8 +43,23 @@ type valueEvaluator struct {
 	evals  atomic.Int64
 }
 
-func (v *valueEvaluator) BeginBatch() {}
-func (v *valueEvaluator) EndBatch()   {}
+func (v *valueEvaluator) BeginBatch()                        {}
+func (v *valueEvaluator) EndBatch()                          {}
+func (v *valueEvaluator) ResolveStruct(*gp.Individual)       {}
+func (v *valueEvaluator) NoteCluster(int)                    {}
+func (v *valueEvaluator) EvaluateCluster(c []*gp.Individual) { evaluateEach(c, v.Evaluate) }
+
+// evaluateEach scores a cluster's unevaluated members one by one in slice
+// order, so a panic escapes with every earlier member committed: the
+// gp.Evaluator panic protocol, for free.
+func evaluateEach(inds []*gp.Individual, eval func(*gp.Individual)) {
+	for _, ind := range inds {
+		if !ind.Evaluated {
+			eval(ind)
+		}
+	}
+}
+
 func (v *valueEvaluator) Evaluate(ind *gp.Individual) {
 	v.evals.Add(1)
 	derived, err := ind.Deriv.Derive()
